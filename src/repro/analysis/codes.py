@@ -147,14 +147,6 @@ _CODES: tuple[CodeInfo, ...] = (
         "Two select-list items produce the same output name.",
     ),
     CodeInfo(
-        "DQ209",
-        "EXPLAIN requires the planner",
-        ERROR,
-        "EXPLAIN / EXPLAIN ANALYZE report the optimized plan, which "
-        "execute(..., planner=False) never builds; the keyword and the "
-        "planner-free escape hatch are mutually exclusive.",
-    ),
-    CodeInfo(
         "DQ210",
         "operand type mismatch",
         ERROR,
@@ -314,9 +306,9 @@ _CODES: tuple[CodeInfo, ...] = (
         ERROR,
         "A plan-cache entry omits (or pins a stale value of) an input "
         "that affects plan shape — schema identity, tag schema, "
-        "catalog version, columnar mode, the columnar cost band, the "
-        "partition layout version, or the scoring-registry version — "
-        "so a hit could serve a plan built for different inputs.",
+        "catalog version, columnar mode, the partition layout version, "
+        "or the scoring-registry version — so a hit could serve a plan "
+        "built for different inputs.",
     ),
     CodeInfo(
         "DQ410",

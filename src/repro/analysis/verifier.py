@@ -42,9 +42,9 @@ violations through the diagnostics engine as the DQ40x family:
 
 :func:`verify_cache_entry` checks plan-cache key completeness (DQ409):
 every plan-shape-affecting input — schema identity, tag schema,
-catalog version, columnar mode, columnar cost band, partition layout
-version, scoring-registry version (for plans carrying a ScoreFilter) —
-is pinned by the entry and still matches the live relation.
+catalog version, columnar mode, partition layout version,
+scoring-registry version (for plans carrying a ScoreFilter) — is
+pinned by the entry and still matches the live relation.
 
 Unknown base relations (a context that cannot resolve a scan) degrade
 gracefully: shape-dependent checks are skipped rather than reported,
@@ -64,7 +64,6 @@ from typing import Any, Optional
 from repro.analysis.diagnostics import Diagnostics, QueryAnalysisError
 from repro.obs import metrics as _obs_metrics
 from repro.relational.catalog import Database
-from repro.relational.relation import Relation
 from repro.sql.nodes import (
     AggregateCall,
     BoolOp,
@@ -838,8 +837,6 @@ def verify_cache_entry(
     match — a mismatch means the cache could serve a plan built for
     different inputs.
     """
-    from repro.sql import optimizer as _optimizer
-
     if diagnostics is None:
         diagnostics = Diagnostics()
 
@@ -883,23 +880,6 @@ def verify_cache_entry(
             "keyed columnar_mode=False; a row-mode lookup would reuse "
             "a columnar plan"
         )
-    if entry.columnar_mode and isinstance(relation, Relation):
-        expected_band = (
-            len(relation) >= _optimizer.COLUMNAR_MIN_ROWS
-        )
-        if entry.columnar_band is None:
-            add(
-                "entry omits the columnar cost band from its cache key; "
-                "growing the relation across COLUMNAR_MIN_ROWS would "
-                "not replan"
-            )
-        elif entry.columnar_band != expected_band:
-            add(
-                f"entry pins columnar cost band {entry.columnar_band} "
-                f"but the relation is now on the "
-                f"{'columnar' if expected_band else 'row'} side of "
-                f"COLUMNAR_MIN_ROWS"
-            )
     pinned_layout = getattr(entry, "partition_layout", None)
     live_layout = getattr(relation, "partition_layout_version", 0)
     if pinned_layout is None:

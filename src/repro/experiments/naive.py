@@ -245,9 +245,10 @@ def _freeze(value: Any) -> Any:
 def naive_execute(sql: str, source: Any) -> Relation | TaggedRelation:
     """AST-walking QSQL interpreter: per-row name lookups, no planning.
 
-    The third leg of the planner equivalence property — independent of
-    both ``execute(...)`` (planned) and ``execute(..., planner=False)``
-    (compiled closures).  Every operand is resolved by column *name* on
+    The single independent oracle of the planner equivalence property:
+    both ``execute(...)`` (optimized plan) and ``execute(...,
+    planner=False)`` (unoptimized plan) run through the physical
+    executor; this shares none of it.  Every operand is resolved by column *name* on
     every row, every intermediate stage is rebuilt through the public
     validating ``insert`` path, and each clause is interpreted directly
     off the AST.  Slow but obviously correct.

@@ -6,9 +6,8 @@ A compiled physical plan (:mod:`repro.sql.physical`) carries a static
 instrumented execution creates a fresh :class:`ExecutionStats` from the
 skeleton and the operators record into it: rows out and inclusive wall
 time per operator, plus operator-specific extras (hash-join build/probe
-counts).  The direct interpreter (``execute(..., planner=False)``)
-builds the same structure from its linear clause pipeline via
-:meth:`ExecutionStats.from_stages`.
+counts).  Optimized and unoptimized (``execute(..., planner=False)``)
+plans both run through that executor, so both yield such a tree.
 
 :class:`StatsCollector` is the ``execute(..., stats=...)`` hook: pass
 one in, and after the call it holds the execution tree plus call-level
@@ -72,29 +71,6 @@ class ExecutionStats:
                 for op_id, (label, children) in enumerate(skeleton)
             ]
         )
-
-    @classmethod
-    def from_stages(
-        cls, stages: Sequence[tuple[str, int, float]]
-    ) -> "ExecutionStats":
-        """A linear chain from interpreter stages in *pipeline* order.
-
-        ``stages`` lists ``(label, rows_out, seconds)`` from source scan
-        to final clause; the returned tree is rooted at the last stage
-        (matching plan orientation: the root produces the result).
-        """
-        if not stages:
-            return cls([])
-        n = len(stages)
-        skeleton = tuple(
-            (stages[n - 1 - j][0], (j + 1,) if j + 1 < n else ())
-            for j in range(n)
-        )
-        stats = cls.from_skeleton(skeleton)
-        for j in range(n):
-            _, rows_out, seconds = stages[n - 1 - j]
-            stats.record(j, rows_out, seconds)
-        return stats
 
     # -- recording (called by the executors) --------------------------------
 
@@ -217,9 +193,10 @@ class StatsCollector:
     - ``execution`` — the per-operator :class:`ExecutionStats` tree;
     - ``seconds`` — total wall time of the execution step;
     - ``rows`` — result row count;
-    - ``planned`` — whether the planner path ran (vs the interpreter);
+    - ``planned`` — whether the optimizer rewrote the plan (False for
+      ``planner=False``'s unoptimized plan);
     - ``cache_hit`` — whether a cached compiled plan was reused
-      (always False on the interpreter path);
+      (always False for unoptimized plans, which are never cached);
     - ``sql`` — the statement text.
 
     A collector is reusable: each ``execute`` call overwrites it.
@@ -261,7 +238,7 @@ class StatsCollector:
         """A human-readable report: header plus the annotated tree."""
         if not self.filled:
             return "StatsCollector: no execution recorded"
-        path = "planner" if self.planned else "interpreter"
+        path = "optimized plan" if self.planned else "unoptimized plan"
         cache = ""
         if self.planned:
             cache = " (plan-cache hit)" if self.cache_hit else " (cold plan)"

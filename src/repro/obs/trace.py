@@ -4,7 +4,8 @@ Spans time nested phases of work — the plan cache uses them to account
 for parse → plan → compile on a cold statement.  Nesting is tracked
 per thread (a thread-local span stack), so concurrent queries trace
 independently; finished *root* spans accumulate on the tracer until
-:meth:`Tracer.clear`.
+:meth:`Tracer.clear`, keeping only the newest :data:`MAX_ROOT_SPANS`
+so a long-running instrumented process holds a bounded trace.
 
 Like the metric sinks, ambient tracing is wired through the
 :func:`repro.obs.metrics.enabled` flag at the call sites; the tracer
@@ -21,10 +22,14 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-__all__ = ["Span", "Tracer", "global_tracer"]
+__all__ = ["MAX_ROOT_SPANS", "Span", "Tracer", "global_tracer"]
+
+#: Finished root spans a tracer retains; older ones are dropped first.
+MAX_ROOT_SPANS = 1024
 
 
 class Span:
@@ -72,7 +77,7 @@ class Tracer:
 
     def __init__(self) -> None:
         self._local = threading.local()
-        self._roots: list[Span] = []
+        self._roots: deque[Span] = deque(maxlen=MAX_ROOT_SPANS)
         self._lock = threading.Lock()
 
     def _stack(self) -> list[Span]:
@@ -113,7 +118,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def roots(self) -> tuple[Span, ...]:
-        """Finished root spans, oldest first."""
+        """The retained finished root spans, oldest first."""
         with self._lock:
             return tuple(self._roots)
 

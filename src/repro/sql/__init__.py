@@ -35,7 +35,8 @@ a plan cache keyed on statement text + schema identity skips
 lexing/parsing/planning for repeated statements
 (:mod:`repro.sql.plancache`).  ``EXPLAIN SELECT ...`` returns the
 rendered optimized plan; ``execute(..., planner=False)`` is the
-planner-free reference path.
+reference path: the unoptimized logical plan, run by the same physical
+executor without rewrites or caching (``EXPLAIN`` renders it too).
 
 Entry point: :func:`execute` (or :func:`parse` for the AST).
 """

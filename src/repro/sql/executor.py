@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Union
 
-from repro.relational import algebra as plain_algebra
 from repro.relational.catalog import Database
 from repro.relational.relation import Relation, Row
 from repro.sql.errors import SQLError
@@ -37,8 +36,6 @@ from repro.sql.nodes import (
     SelectItem,
     SelectStatement,
 )
-from repro.sql.parser import parse
-from repro.tagging import algebra as tagged_algebra
 from repro.tagging.relation import TaggedRelation, TaggedRow
 
 AnyRelation = Union[Relation, TaggedRelation]
@@ -364,24 +361,6 @@ def _computed_projection(
     return result
 
 
-def _apply_order(
-    statement: SelectStatement, result: AnyRelation, tagged: bool
-) -> AnyRelation:
-    # Stable multi-key sort honoring per-item direction: sort by the
-    # least-significant key first.
-    rows = list(result)
-    tag_schema = getattr(result, "tag_schema", None) if tagged else None
-    for item in reversed(statement.order_by):
-        rows.sort(
-            key=_sort_key_function((item,), result.schema, tagged, tag_schema),
-            reverse=item.descending,
-        )
-    ordered = result.empty_like()
-    for row in rows:
-        ordered._insert_validated(row)
-    return ordered
-
-
 def execute(
     sql: str,
     source: AnyRelation | Database | Mapping[str, AnyRelation],
@@ -402,216 +381,39 @@ def execute(
     :class:`~repro.analysis.diagnostics.QueryAnalysisError` *before*
     any row is touched, with every problem reported at once.
 
-    By default statements run through the query planner
-    (:mod:`repro.sql.plan` / :mod:`repro.sql.optimizer` /
-    :mod:`repro.sql.physical`) with plan caching
-    (:mod:`repro.sql.plancache`): repeated statement texts skip
-    lexing, parsing, and planning, and QUALITY predicates route through
-    the relation's columnar tag store.  ``planner=False`` is the escape
-    hatch onto the direct interpretation path below (one compiled
-    closure per clause, no plan, no cache) — semantically equivalent,
-    and kept as the reference baseline.
+    Every statement runs through the query pipeline: the AST lowers to
+    a logical plan (:mod:`repro.sql.plan`) that the physical executor
+    (:mod:`repro.sql.physical`) compiles and runs.  By default the
+    optimizer (:mod:`repro.sql.optimizer`) rewrites the plan first and
+    the result is cached (:mod:`repro.sql.plancache`): repeated
+    statement texts skip lexing, parsing, and planning, and QUALITY
+    predicates route through the relation's columnar tag store.
+    ``planner=False`` runs the *unoptimized* logical plan instead — no
+    rewrites, row-at-a-time, not cached — semantically equivalent, and
+    kept as the reference baseline.  ``EXPLAIN`` and ``EXPLAIN
+    ANALYZE`` render whichever plan the mode runs.
 
-    On the planner path, scan-heavy fragments over sufficiently large
-    plain relations execute *columnar*: per-column value arrays plus a
-    selection vector, with ``Row`` objects materialized only at the
-    plan's ``Materialize`` boundary (EXPLAIN shows the chosen access
-    path).  ``columnar=False`` is the escape hatch forcing row-at-a-
-    time plans; it is ignored by ``planner=False``, whose
-    interpretation path is always row-at-a-time.
+    With the optimizer on, scan-heavy fragments over plain relations
+    execute *columnar*: per-column value arrays plus a selection
+    vector, with ``Row`` objects materialized only at the plan's
+    ``Materialize`` boundary (EXPLAIN shows the chosen access path).
+    ``columnar=False`` is the escape hatch forcing row-at-a-time plans;
+    ``planner=False`` plans are always row-at-a-time.
 
     ``stats`` accepts a :class:`~repro.obs.stats.StatsCollector`: after
     the call it holds the per-operator execution tree (what
-    ``EXPLAIN ANALYZE`` renders) plus total time, row count, and — on
-    the planner path — whether a cached plan was reused.  Collection is
-    per-call and never changes the result.
+    ``EXPLAIN ANALYZE`` renders) plus total time, row count, and
+    whether a cached plan was reused.  Collection is per-call and never
+    changes the result.
     """
-    if planner:
-        # Imported lazily: plancache depends on this module.
-        from repro.sql.plancache import execute_planned
+    # Imported lazily: plancache depends on this module.
+    from repro.sql.plancache import execute_planned
 
-        return execute_planned(
-            sql, source, strict=strict, collector=stats, columnar=columnar
-        )
-    return _execute_unplanned(sql, source, strict=strict, collector=stats)
-
-
-def _explain_requires_planner(sql: str, statement: SelectStatement) -> None:
-    """Raise the DQ209 diagnostic: EXPLAIN has no plan to render here.
-
-    Historically ``execute(..., planner=False)`` silently routed EXPLAIN
-    through the planner anyway — contradicting the caller's explicit
-    request for the plan-free path.  Now it fails loudly instead.
-    """
-    from repro.analysis.diagnostics import Diagnostics, QueryAnalysisError
-
-    keyword = "EXPLAIN ANALYZE" if statement.analyze else "EXPLAIN"
-    start = sql.upper().find("EXPLAIN")
-    span = (start, start + len(keyword)) if start >= 0 else None
-    diagnostics = Diagnostics()
-    diagnostics.add(
-        "DQ209",
-        f"{keyword} requires the planner: it reports the optimized plan, "
-        f"which execute(..., planner=False) never builds; drop "
-        f"planner=False or drop the {keyword} keyword",
-        span=span,
-        source=sql,
+    return execute_planned(
+        sql,
+        source,
+        strict=strict,
+        collector=stats,
+        columnar=columnar,
+        planner=planner,
     )
-    raise QueryAnalysisError(diagnostics, sql)
-
-
-def _execute_unplanned(
-    sql: str,
-    source: AnyRelation | Database | Mapping[str, AnyRelation],
-    *,
-    strict: bool = False,
-    collector: Any = None,
-) -> AnyRelation:
-    """The planner-free execution path (see ``execute(planner=False)``)."""
-    from time import perf_counter
-
-    statement = parse(sql)
-    if strict:
-        # Imported lazily: plancache depends on this module.  The memo
-        # it keeps makes repeat strict runs free on this path too.
-        from repro.sql.plancache import run_strict_analysis
-
-        run_strict_analysis(statement, source, sql)
-    if statement.explain:
-        _explain_requires_planner(sql, statement)
-
-    # Per-stage statistics: ``stages`` collects (label, rows out,
-    # seconds) per executed clause, in pipeline order, only when a
-    # collector was passed — the common path never starts a timer.
-    stages: list[tuple[str, int, float]] | None = (
-        [] if collector is not None else None
-    )
-    total_start = perf_counter() if collector is not None else 0.0
-
-    def _finish(result: AnyRelation) -> AnyRelation:
-        if collector is not None:
-            from repro.obs.stats import ExecutionStats
-
-            collector._fill(
-                sql,
-                ExecutionStats.from_stages(stages),
-                perf_counter() - total_start,
-                len(result),
-                planned=False,
-                cache_hit=False,
-            )
-        return result
-
-    relation = _resolve_relation(statement, source)
-    tagged = isinstance(relation, TaggedRelation)
-    _check_columns(statement, relation)
-    if statement.uses_quality() and not tagged:
-        raise SQLError(
-            "QUALITY(...) requires a tagged relation; the source is untagged"
-        )
-
-    algebra = tagged_algebra if tagged else plain_algebra
-    result: AnyRelation = relation
-    if stages is not None:
-        flavor = "tagged" if tagged else "plain"
-        stages.append(
-            (f"Scan [{statement.relation} ({flavor})]", len(relation), 0.0)
-        )
-
-    if statement.where is not None:
-        stage_start = perf_counter() if stages is not None else 0.0
-        result = algebra.select(
-            result,
-            _compile_predicate(
-                statement.where,
-                relation.schema,
-                tagged,
-                relation.tag_schema if tagged else None,
-            ),
-        )
-        if stages is not None:
-            stages.append(
-                (
-                    "Filter [WHERE]",
-                    len(result),
-                    perf_counter() - stage_start,
-                )
-            )
-
-    if statement.has_aggregates:
-        stage_start = perf_counter() if stages is not None else 0.0
-        aggregated = _execute_aggregate(statement, result, tagged)
-        if stages is not None:
-            stages.append(
-                ("Aggregate", len(aggregated), perf_counter() - stage_start)
-            )
-        if statement.order_by:
-            for item in statement.order_by:
-                if isinstance(item.key, (QualityRef, QualityScoreRef)):
-                    raise SQLError(
-                        "ORDER BY QUALITY(...) cannot follow aggregation"
-                    )
-                aggregated.schema.column(item.key.column)
-            stage_start = perf_counter() if stages is not None else 0.0
-            aggregated = _apply_order(statement, aggregated, tagged=False)
-            if stages is not None:
-                stages.append(
-                    ("Sort", len(aggregated), perf_counter() - stage_start)
-                )
-        if statement.limit is not None:
-            aggregated = plain_algebra.limit(aggregated, statement.limit)
-            if stages is not None:
-                stages.append(
-                    (f"Limit [{statement.limit}]", len(aggregated), 0.0)
-                )
-        return _finish(aggregated)
-
-    if statement.order_by:
-        stage_start = perf_counter() if stages is not None else 0.0
-        result = _apply_order(statement, result, tagged)
-        if stages is not None:
-            stages.append(("Sort", len(result), perf_counter() - stage_start))
-
-    items = statement.select_items
-    if items is not None:
-        stage_start = perf_counter() if stages is not None else 0.0
-        needs_materialization = any(
-            isinstance(item.expr, (QualityRef, QualityScoreRef))
-            for item in items
-        )
-        if needs_materialization:
-            result = _computed_projection(statement, result, tagged)
-            tagged = False
-            algebra = plain_algebra
-        else:
-            names = [item.expr.column for item in items]  # type: ignore[union-attr]
-            result = algebra.project(result, names)
-            renames = {
-                item.expr.column: item.alias  # type: ignore[union-attr]
-                for item in items
-                if item.alias and item.alias != item.expr.column  # type: ignore[union-attr]
-            }
-            if renames:
-                result = algebra.rename(result, renames)
-        if stages is not None:
-            stages.append(
-                ("Project", len(result), perf_counter() - stage_start)
-            )
-
-    if statement.distinct:
-        stage_start = perf_counter() if stages is not None else 0.0
-        if tagged:
-            result = tagged_algebra.distinct_values(result)
-        else:
-            result = plain_algebra.distinct(result)
-        if stages is not None:
-            stages.append(
-                ("Distinct", len(result), perf_counter() - stage_start)
-            )
-
-    if statement.limit is not None:
-        result = algebra.limit(result, statement.limit)
-        if stages is not None:
-            stages.append((f"Limit [{statement.limit}]", len(result), 0.0))
-
-    return _finish(result)

@@ -3,7 +3,7 @@
 Each rule is a standalone function ``rule(plan, ...) -> plan`` so tests
 can exercise one rewrite at a time; :func:`optimize` chains them in a
 fixed order.  All rules are semantics-preserving with respect to the
-reference executor:
+unoptimized logical plan (what ``execute(..., planner=False)`` runs):
 
 - :func:`fold_constants` — evaluate constant predicates at plan time
   using the executor's exact comparison semantics (NULL never matches,
@@ -44,7 +44,7 @@ reference executor:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
 from repro.sql.nodes import (
     BoolOp,
@@ -60,7 +60,6 @@ from repro.sql.nodes import (
 )
 from repro.relational.relation import Relation
 from repro.sql.plan import (
-    Aggregate,
     Distinct,
     Filter,
     HashJoin,
@@ -756,13 +755,6 @@ def fuse_topk(plan: PlanNode) -> PlanNode:
 
 # -- access-path selection ---------------------------------------------------
 
-#: Below this many rows the row path's lower fixed cost wins: building
-#: (or even consulting) the columnar store and running vectorized loops
-#: has setup overhead that tiny relations never amortize.  Tests may
-#: monkeypatch this to 0 to force columnar plans on small fixtures.
-COLUMNAR_MIN_ROWS = 64
-
-
 def _vectorizable_chain(
     node: PlanNode, context: PlanContext
 ) -> Optional[tuple[list[PlanNode], Scan]]:
@@ -782,8 +774,9 @@ def _vectorizable_chain(
     Costing: the fragment must contain at least one Filter or Project
     (a bare scan, or Limit/TopK alone, is already O(1)/O(n) over the
     backing row list — transposing to arrays would only add work), and
-    the base relation must be a plain :class:`Relation` with at least
-    :data:`COLUMNAR_MIN_ROWS` rows at plan time.
+    the base relation must be a plain :class:`Relation`.  Relation size
+    plays no part: the plan stays valid as the relation grows or
+    shrinks, so a cached plan never needs replanning for it.
     """
     chain: list[PlanNode] = []
     worthwhile = False
@@ -807,8 +800,6 @@ def _vectorizable_chain(
         return None
     relation = context.relation(node.relation)
     if not isinstance(relation, Relation):
-        return None
-    if len(relation) < COLUMNAR_MIN_ROWS:
         return None
     return chain, node
 

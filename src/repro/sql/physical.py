@@ -1,17 +1,18 @@
-"""QSQL physical executor: optimized plans → batch operators.
+"""QSQL physical executor: logical plans → batch operators.
 
-:func:`compile_plan` lowers an (optimized) logical plan into a tree of
+:func:`compile_plan` lowers a logical plan — optimized, or as lowered
+for ``execute(..., planner=False)`` — into a tree of
 closures that each map a *binding* (relation name → live relation) to a
 list of rows.  Compilation resolves every column position, output
 schema, and predicate closure once; execution then runs over whole row
 batches with no per-row name resolution.
 
-Semantics are the reference executor's, by construction: filters and
-sort keys reuse :func:`repro.sql.executor._compile_predicate` /
+Row semantics live in :mod:`repro.sql.executor`: filters and sort keys
+reuse :func:`repro.sql.executor._compile_predicate` /
 ``_sort_key_function``, aggregation and QUALITY-materializing
 projections call the executor's own implementations over a trusted
 batch relation, and DISTINCT delegates to the algebra modules.  The
-planner-only operators are:
+operators only the optimizer emits are:
 
 - ``QualityFilter`` — asks the scanned relation for its lazily cached
   :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` and

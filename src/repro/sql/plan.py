@@ -392,10 +392,11 @@ def derive_plan_columns(
 def logical_plan(statement: SelectStatement, tagged: bool) -> PlanNode:
     """Lower a parsed statement into the unoptimized logical plan.
 
-    The pipeline mirrors the reference executor's clause order exactly:
-    scan → filter → (aggregate | sort) → project → distinct → limit,
-    with ORDER BY evaluated *before* projection so order keys may name
-    non-projected columns.
+    The pipeline is the dialect's reference clause order — the plan
+    ``execute(..., planner=False)`` runs as is: scan → filter →
+    (aggregate | sort) → project → distinct → limit, with ORDER BY
+    evaluated *before* projection so order keys may name non-projected
+    columns.
     """
     plan: PlanNode = Scan(statement.relation, tagged)
     if statement.where is not None:

@@ -18,17 +18,12 @@ additionally records the database's ``catalog_version`` (bumped on
 create/drop), making the cache key effectively
 ``(statement text, catalog version)``.
 
-Two more facts participate in validation because the optimizer's plan
+More facts participate in validation because the optimizer's plan
 *shape* depends on them:
 
 - the columnar execution mode (``execute(..., columnar=False)`` plans
   differently from the default — an entry compiled in one mode is never
   served to the other);
-- the relation's columnar cost band — whether it cleared
-  :data:`~repro.sql.optimizer.COLUMNAR_MIN_ROWS` at plan time.  Row
-  mutations normally never invalidate plans, but growing a relation
-  across the threshold (or shrinking below it) changes which access
-  path the optimizer would pick, so the entry is replanned.
 - the columnar sanitizer mode (``REPRO_VERIFY_PLANS``): sanitized
   compiled plans carry per-batch check wrappers, so an entry compiled
   in one mode is never served to the other;
@@ -50,7 +45,8 @@ Strict-mode analysis is memoized alongside the plan cache in an
 identity + catalog version), so ``execute(..., strict=True)`` pays the
 analysis pass once per (statement, schema) — including for statements
 that *fail* analysis, which never reach the plan cache, and for the
-``planner=False`` reference path, which has no prepared entries.
+``planner=False`` reference path, whose unoptimized plans are never
+cached.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ from repro.sql.executor import (
     _check_columns,
     _resolve_relation,
 )
-from repro.sql import optimizer as _optimizer
 from repro.sql.optimizer import PlanContext, optimize
 from repro.sql.parser import parse
 from repro.sql.physical import CompiledPlan, compile_plan
@@ -98,7 +93,6 @@ class PreparedStatement:
         "tagged",
         "catalog_version",
         "columnar_mode",
-        "columnar_band",
         "sanitize",
         "partition_layout",
         "scoring_version",
@@ -127,11 +121,6 @@ class PreparedStatement:
         self.catalog_version = catalog_version
         #: The columnar on/off mode the plan was optimized under.
         self.columnar_mode = columnar
-        #: The relation's cost band at plan time (cleared
-        #: COLUMNAR_MIN_ROWS or not), when access-path costing could
-        #: have applied — i.e. columnar mode on and a plain relation.
-        #: None when costing never looked at the size.
-        self.columnar_band = _columnar_band(relation, columnar)
         #: Whether the compiled plan carries columnar sanitizer
         #: wrappers (REPRO_VERIFY_PLANS at compile time): part of the
         #: cache key so toggling the flag never serves the wrong build.
@@ -177,11 +166,6 @@ class PreparedStatement:
         if self.tagged and relation.tag_schema is not self.tag_schema:
             return False
         if (
-            self.columnar_band is not None
-            and _columnar_band(relation, columnar) != self.columnar_band
-        ):
-            return False
-        if (
             getattr(relation, "partition_layout_version", 0)
             != self.partition_layout
         ):
@@ -208,19 +192,6 @@ def _scoring_version_pin(statement: Any, tagged: bool) -> Optional[int]:
     from repro.quality.materialize import registry_version
 
     return registry_version()
-
-
-def _columnar_band(relation: AnyRelation, columnar: bool) -> Optional[bool]:
-    """Which side of the access-path size threshold a relation is on.
-
-    ``None`` when costing cannot apply (mode off, or not a plain
-    relation).  Read through the optimizer module so tests that
-    monkeypatch ``COLUMNAR_MIN_ROWS`` see consistent planning *and*
-    cache validation.
-    """
-    if not columnar or not isinstance(relation, Relation):
-        return None
-    return len(relation) >= _optimizer.COLUMNAR_MIN_ROWS
 
 
 class PlanCache:
@@ -270,14 +241,13 @@ class PlanCache:
             entries = self._entries.setdefault(entry.sql, [])
             # Drop entries this one supersedes (same relation shape but a
             # stale catalog version or dropped schema).  Entries differing
-            # in columnar mode or cost band answer *different* lookups, so
+            # in columnar or sanitizer mode answer *different* lookups, so
             # they coexist rather than replace each other.
             entries[:] = [
                 e
                 for e in entries
                 if e.schema is not entry.schema
                 or e.columnar_mode != entry.columnar_mode
-                or e.columnar_band != entry.columnar_band
                 or e.sanitize != entry.sanitize
             ]
             entries.append(entry)
@@ -418,9 +388,16 @@ def plan_cache_stats() -> dict[str, int]:
 
 
 def plan_statement(
-    statement: Any, source: Source, *, columnar: bool = True
+    statement: Any,
+    source: Source,
+    *,
+    columnar: bool = True,
+    planner: bool = True,
 ) -> tuple[PlanNode, AnyRelation, bool]:
-    """Resolve, pre-check, lower, and optimize one parsed statement."""
+    """Resolve, pre-check, lower, and optimize one parsed statement.
+
+    ``planner=False`` stops after lowering: the unoptimized logical plan.
+    """
     relation = _resolve_relation(statement, source)
     tagged = isinstance(relation, TaggedRelation)
     _check_columns(statement, relation)
@@ -429,6 +406,8 @@ def plan_statement(
             "QUALITY(...) requires a tagged relation; the source is untagged"
         )
     plan = logical_plan(statement, tagged)
+    if not planner:
+        return plan, relation, tagged
     context = PlanContext.from_relations({statement.relation: relation})
     return optimize(plan, context, columnar=columnar), relation, tagged
 
@@ -523,6 +502,7 @@ def _record_execution(
     binding: Mapping[str, Any],
     collector: Optional[StatsCollector],
     cache_hit: bool,
+    planned: bool = True,
 ) -> tuple[AnyRelation, Optional[ExecutionStats]]:
     """Execute a compiled plan, feeding the ambient and per-call sinks.
 
@@ -539,15 +519,15 @@ def _record_execution(
     if obs_on:
         registry = _obs_metrics.global_registry()
         registry.counter(
-            "qsql.executions", "QSQL statements executed (planner path)"
+            "qsql.executions", "QSQL statements executed"
         ).inc()
         registry.histogram(
             "qsql.statement_seconds",
-            description="wall time per planner-path statement execution",
+            description="wall time per statement execution",
         ).observe(elapsed)
     if collector is not None:
         collector._fill(
-            sql, stats, elapsed, len(result), planned=True,
+            sql, stats, elapsed, len(result), planned=planned,
             cache_hit=cache_hit,
         )
     return result, stats
@@ -561,8 +541,12 @@ def execute_planned(
     cache: Optional[PlanCache] = None,
     collector: Optional[StatsCollector] = None,
     columnar: bool = True,
+    planner: bool = True,
 ) -> AnyRelation:
-    """The planner-backed execute path (see ``executor.execute``).
+    """The execute path behind ``executor.execute``.
+
+    ``planner=False`` skips the cache and the optimizer: the unoptimized
+    logical plan is compiled and run once, and never stored.
 
     ``collector`` is the per-call statistics hook: when given, the
     compiled plan executes against a fresh
@@ -576,7 +560,11 @@ def execute_planned(
         cache = _DEFAULT_CACHE
     obs_on = _obs_metrics.enabled()
     verify = _verify_enabled()
-    found = cache.lookup(sql, source, columnar, sanitize=verify)
+    found = (
+        cache.lookup(sql, source, columnar, sanitize=verify)
+        if planner
+        else None
+    )
     if found is not None:
         if obs_on:
             _obs_metrics.global_registry().counter(
@@ -594,7 +582,7 @@ def execute_planned(
         )
         return result
 
-    if obs_on:
+    if obs_on and planner:
         _obs_metrics.global_registry().counter(
             "qsql.plancache.misses", "plan-cache lookups requiring planning"
         ).inc()
@@ -603,7 +591,9 @@ def execute_planned(
     if strict:
         run_strict_analysis(statement, source, sql)
     with _span("qsql.plan", relation=statement.relation):
-        plan, relation, _ = plan_statement(statement, source, columnar=columnar)
+        plan, relation, _ = plan_statement(
+            statement, source, columnar=columnar, planner=planner
+        )
     if statement.explain and not statement.analyze:
         return explain_relation(plan)
     binding = {statement.relation: relation}
@@ -620,10 +610,15 @@ def execute_planned(
         elapsed = perf_counter() - start
         if collector is not None:
             collector._fill(
-                sql, stats, elapsed, len(result), planned=True,
+                sql, stats, elapsed, len(result), planned=planner,
                 cache_hit=False,
             )
         return explain_analyze_relation(stats)
+    if not planner:
+        result, _ = _record_execution(
+            sql, compiled, binding, collector, cache_hit=False, planned=False
+        )
+        return result
     catalog_version = (
         source.catalog_version if isinstance(source, Database) else None
     )

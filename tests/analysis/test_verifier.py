@@ -241,19 +241,6 @@ class TestCacheEntryAudit:
         assert diagnostics.codes() == ["DQ409"]
         assert "stale relation schema" in diagnostics.render()
 
-    def test_missing_columnar_band(self):
-        entry = self.make_entry()
-        entry.columnar_band = None  # simulate an incomplete cache key
-        diagnostics = verify_cache_entry(entry, BIG)
-        assert diagnostics.codes() == ["DQ409"]
-        assert "columnar cost band" in diagnostics.render()
-
-    def test_band_mismatch_after_growth(self):
-        small = make_big(4)  # row side of COLUMNAR_MIN_ROWS
-        entry = self.make_entry()
-        diagnostics = verify_cache_entry(entry, small)
-        assert "DQ409" in diagnostics.codes()
-
     def test_missing_partition_layout(self):
         entry = self.make_entry()
         entry.partition_layout = None  # simulate an incomplete cache key
@@ -286,9 +273,11 @@ class TestCacheEntryAudit:
             hit = default_plan_cache().lookup(self.SQL, {"big": relation})
             assert hit is not None
             entry, _ = hit
-            entry.columnar_band = None  # tamper with the installed entry
+            # Tamper with the installed entry: key its columnar plan as
+            # row-mode, so a columnar=False lookup hits it.
+            entry.columnar_mode = False
             with pytest.raises(PlanVerificationError) as excinfo:
-                execute(self.SQL, {"big": relation})
+                execute(self.SQL, {"big": relation}, columnar=False)
             assert "DQ409" in str(excinfo.value)
         finally:
             clear_plan_cache()

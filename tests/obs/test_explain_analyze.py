@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis.diagnostics import QueryAnalysisError
 from repro.obs import metrics as obs_metrics
 from repro.obs.cli import main as cli_main
 from repro.obs.stats import StatsCollector
@@ -87,12 +86,20 @@ class TestExplainAnalyze:
         assert hits is None or hits.value == 0
 
     def test_rejected_without_planner(self, tagged):
-        for sql in (f"EXPLAIN {SQL}", f"EXPLAIN ANALYZE {SQL}"):
-            with pytest.raises(QueryAnalysisError) as info:
-                execute(sql, tagged, planner=False)
-            (diagnostic,) = info.value.diagnostics
-            assert diagnostic.code == "DQ209"
-            assert "planner" in diagnostic.message
+        # EXPLAIN ANALYZE without the planner was once rejected; it now
+        # runs the unrewritten plan and annotates every operator of the
+        # plain EXPLAIN rendering with its observed rows.
+        plan = [
+            row["plan"]
+            for row in execute(f"EXPLAIN {SQL}", tagged, planner=False)
+        ]
+        assert "QualityFilter" not in "\n".join(plan)
+        analyzed = [
+            row["plan"]
+            for row in execute(f"EXPLAIN ANALYZE {SQL}", tagged, planner=False)
+        ]
+        assert [line.split("  (")[0] for line in analyzed] == plan
+        assert all("rows=" in line for line in analyzed)
 
 
 class TestStatsCollector:
@@ -129,7 +136,7 @@ class TestStatsCollector:
         rendered = "\n".join(collector.execution.render_lines())
         assert "rows=" in rendered and "selectivity=" in rendered
         assert SQL in collector.render()
-        assert "path: interpreter" in collector.render()
+        assert "path: unoptimized plan" in collector.render()
 
     def test_collection_does_not_change_results(self, tagged):
         clear_plan_cache()

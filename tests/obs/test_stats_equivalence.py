@@ -2,9 +2,9 @@
 
 For randomly generated statements over random relations, execution with
 a :class:`StatsCollector` attached — and with ambient metrics enabled —
-must return exactly what the uninstrumented planner path, the
-uninstrumented interpreter path, and the naive reference interpreter
-return.  Observation must be free of observer effects.
+must return exactly what the uninstrumented optimized plan, the
+unoptimized plan (``planner=False``), and the naive reference
+interpreter return.  Observation must be free of observer effects.
 """
 
 from __future__ import annotations

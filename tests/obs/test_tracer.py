@@ -72,6 +72,45 @@ def test_clear_discards_finished_spans():
     assert tracer.render_lines() == []
 
 
+def test_retained_roots_are_bounded_oldest_dropped_first():
+    from repro.obs.trace import MAX_ROOT_SPANS
+
+    tracer = Tracer()
+    for index in range(MAX_ROOT_SPANS + 10):
+        with tracer.span(f"s{index}"):
+            pass
+    names = [span.name for span in tracer.roots()]
+    assert len(names) == MAX_ROOT_SPANS
+    assert names[0] == "s10"
+    assert names[-1] == f"s{MAX_ROOT_SPANS + 9}"
+
+
+def test_instrumented_cold_statements_keep_global_trace_bounded():
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.trace import MAX_ROOT_SPANS
+    from repro.relational.relation import Relation
+    from repro.relational.schema import Column, RelationSchema
+    from repro.sql import clear_plan_cache, execute
+
+    relation = Relation.from_tuples(
+        RelationSchema("t", [Column("a", "INT")]), [(1,), (2,)]
+    )
+    tracer = global_tracer()
+    tracer.clear()
+    clear_plan_cache()
+    try:
+        with obs_metrics.instrumented():
+            # Each distinct statement is a cold plan: three root spans
+            # (parse, plan, compile) per statement.
+            for literal in range(MAX_ROOT_SPANS):
+                execute(f"SELECT a FROM t WHERE a > {literal}", relation)
+        assert len(tracer.roots()) == MAX_ROOT_SPANS
+        assert tracer.roots()[-1].name == "qsql.compile"
+    finally:
+        tracer.clear()
+        clear_plan_cache()
+
+
 def test_threads_do_not_share_span_stacks():
     tracer = Tracer()
     barrier = threading.Barrier(2)

@@ -3,15 +3,10 @@
 The columnar access path must be invisible in every result: for any
 generated statement over a plain relation, the planner's vectorized
 path (column arrays + selection vectors, late materialization) has to
-agree byte-for-byte with the row-at-a-time planned path, the direct
-interpreter, and the naive AST-walking reference.
-
-``COLUMNAR_MIN_ROWS`` is forced to 0 so even tiny generated relations
-take the columnar path — otherwise the small random relations would
-all be costed back onto the row path and the property would test
-nothing.  The plan cache keys on the costing band through the same
-module constant, so cached re-execution stays coherent under the
-override.
+agree byte-for-byte with the row-at-a-time planned path, the
+unoptimized plan (``planner=False``), and the naive AST-walking
+reference.  Access-path choice ignores relation size, so even the tiny
+generated relations take the columnar path.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from hypothesis import given, settings
 
 from repro.experiments.naive import naive_execute
 from repro.sql import clear_plan_cache, execute
-from repro.sql import optimizer
 
 from tests.sql.test_planner_equivalence import (
     canonical,
@@ -31,8 +25,7 @@ from tests.sql.test_planner_equivalence import (
 
 
 @pytest.fixture(autouse=True)
-def columnar_everywhere(monkeypatch):
-    monkeypatch.setattr(optimizer, "COLUMNAR_MIN_ROWS", 0)
+def fresh_cache():
     clear_plan_cache()
     yield
     clear_plan_cache()

@@ -6,7 +6,6 @@ from repro.obs.stats import StatsCollector
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import clear_plan_cache, execute
-from repro.sql import optimizer
 from repro.tagging.cell import QualityCell
 from repro.tagging.indicators import IndicatorDefinition, IndicatorValue, TagSchema
 from repro.tagging.relation import TaggedRelation
@@ -44,19 +43,6 @@ class TestAccessPathChoice:
         relation = make_relation(200)
         plan = explain("SELECT a FROM t WHERE a > 10", relation)
         assert "Materialize [columnar -> rows]" in plan
-        assert "Scan [t (plain, columnar)]" in plan
-
-    def test_small_relation_stays_on_row_path(self):
-        relation = make_relation(10)
-        assert len(relation) < optimizer.COLUMNAR_MIN_ROWS
-        plan = explain("SELECT a FROM t WHERE a > 1", relation)
-        assert "columnar" not in plan
-        assert "Scan [t (plain)]" in plan
-
-    def test_threshold_is_costing_not_hardcode(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "COLUMNAR_MIN_ROWS", 0)
-        relation = make_relation(10)
-        plan = explain("SELECT a FROM t WHERE a > 1", relation)
         assert "Scan [t (plain, columnar)]" in plan
 
     def test_bare_scan_stays_on_row_path(self):

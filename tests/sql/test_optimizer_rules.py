@@ -20,6 +20,7 @@ from repro.sql.physical import execute_plan
 from repro.sql.plan import (
     Filter,
     HashJoin,
+    Materialize,
     Project,
     QualityFilter,
     Scan,
@@ -276,10 +277,15 @@ class TestJoinRules:
         predicate = Comparison(">", ColumnRef("rv"), Literal(3))
         plan = Filter(self.join_plan(), predicate)
         optimized = optimize(plan, self.context)
-        # The filter moved below the join, onto the right input.
+        # The filter moved below the join, onto the right input (inside
+        # a columnar fragment when the input went columnar).
         (join,) = find(optimized, HashJoin)
         (pushed,) = find(optimized, Filter)
-        assert pushed in (join.left, join.right)
+        inputs = [
+            side.child if isinstance(side, Materialize) else side
+            for side in (join.left, join.right)
+        ]
+        assert pushed in inputs
         assert pushed.predicate == predicate
         result = execute_plan(optimized, self.relations)
         expected = [
@@ -323,14 +329,22 @@ class TestExplain:
         assert "Scan [t (tagged)]" in text
 
     def test_explain_rejected_from_unplanned_path(self, tagged):
-        # There is no plan to render on the planner-free path; asking
-        # for one is a contradiction and fails loudly (DQ209) instead
-        # of silently routing through the planner anyway.
-        import pytest
-
-        from repro.analysis.diagnostics import QueryAnalysisError
-
-        sql = "EXPLAIN SELECT * FROM t WHERE a > 1"
-        with pytest.raises(QueryAnalysisError) as info:
-            execute(sql, tagged, planner=False)
-        assert [d.code for d in info.value.diagnostics] == ["DQ209"]
+        # The planner-free path was once rejected here (there was no plan
+        # to render); it now renders the unrewritten logical plan: the
+        # QUALITY predicate stays in a row Filter directly above the Scan,
+        # with no pushdown, fusion or columnar fragment.
+        plan = [
+            row["plan"]
+            for row in execute(
+                "EXPLAIN SELECT a, b FROM t "
+                "WHERE QUALITY(a.source) = 's1' AND b > 2 "
+                "ORDER BY b DESC LIMIT 3",
+                tagged,
+                planner=False,
+            )
+        ]
+        text = "\n".join(plan)
+        for rewritten in ("QualityFilter", "TopK", "Materialize"):
+            assert rewritten not in text
+        assert "Filter [(QUALITY(a.source) = 's1' AND b > 2)]" in plan[-2]
+        assert plan[-1].endswith("└─ Scan [t (tagged)]")

@@ -31,7 +31,6 @@ from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import clear_plan_cache, execute
-from repro.sql import optimizer
 from repro.sql.nodes import (
     BoolOp,
     ColumnRef,
@@ -352,12 +351,7 @@ def sorted_canonical(result):
 
 
 @pytest.fixture(autouse=True)
-def columnar_everywhere(monkeypatch):
-    # Force even tiny generated relations onto the columnar path, as
-    # in test_columnar_equivalence — otherwise costing would route all
-    # of them back to rows and the columnar × pruning product would go
-    # untested.
-    monkeypatch.setattr(optimizer, "COLUMNAR_MIN_ROWS", 0)
+def fresh_cache():
     clear_plan_cache()
     yield
     clear_plan_cache()

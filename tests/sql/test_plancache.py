@@ -208,23 +208,18 @@ class TestTaggedPlans:
 
 
 class TestColumnarKeying:
-    """The cache key must cover columnar mode and the costing band.
+    """The cache key covers columnar mode, but not relation size.
 
-    Before this keying existed, a plan compiled under ``columnar=True``
-    would be served to a ``columnar=False`` caller (wrong mode), and a
-    row plan compiled while the relation sat under COLUMNAR_MIN_ROWS
-    would keep being served after the relation grew past it (stale
-    access-path choice).  Both assertions below fail under the old
-    keying.
+    Without mode keying, a plan compiled under ``columnar=True`` would
+    be served to a ``columnar=False`` caller.  Access-path choice does
+    not depend on how many rows the relation holds, so a cached
+    columnar plan must stay correct as the relation shrinks and grows.
     """
 
     SQL = "SELECT a FROM t WHERE a >= 0"
 
     def big_relation(self):
-        from repro.sql import optimizer
-
-        n = optimizer.COLUMNAR_MIN_ROWS + 36
-        return make_relation(rows=[(i, "x") for i in range(n)])
+        return make_relation(rows=[(i, "x") for i in range(100)])
 
     def test_mode_toggle_compiles_two_coexisting_entries(self):
         from repro.sql.plan import Materialize
@@ -249,60 +244,30 @@ class TestColumnarKeying:
         execute_planned(self.SQL, relation, cache=cache, columnar=False)
         assert cache.hits == 2 and cache.misses == 2
 
-    def test_growth_past_threshold_replans_columnar(self):
-        from repro.sql import optimizer
-        from repro.sql.plan import Materialize
-
-        cache = PlanCache()
-        relation = make_relation(rows=[(i, "x") for i in range(4)])
-        execute_planned(self.SQL, relation, cache=cache)
-        entry = cache.lookup(self.SQL, relation)[0]
-        assert entry.columnar_band is False
-        assert not isinstance(entry.plan, Materialize)
-        # Grow past the costing threshold: the cached row plan's band
-        # no longer matches, so the lookup must miss and replan.
-        for i in range(optimizer.COLUMNAR_MIN_ROWS + 10):
-            relation.insert({"a": 100 + i, "b": "y"})
-        result = execute_planned(self.SQL, relation, cache=cache)
-        assert len(result) == 4 + optimizer.COLUMNAR_MIN_ROWS + 10
-        fresh = cache.lookup(self.SQL, relation)[0]
-        assert fresh.columnar_band is True
-        assert isinstance(fresh.plan, Materialize)
-
-    def test_shrink_below_threshold_replans_rows(self):
+    def test_cached_columnar_plan_survives_shrink_and_growth(self):
+        from repro.experiments.naive import naive_execute
         from repro.sql.plan import Materialize
 
         cache = PlanCache()
         relation = self.big_relation()
-        execute_planned(self.SQL, relation, cache=cache)
-        assert isinstance(cache.lookup(self.SQL, relation)[0].plan, Materialize)
-        relation.delete(lambda row: row["a"] >= 4)
-        fresh = cache.lookup(self.SQL, relation)
-        # lookup() counts a miss for the stale band; the next planned
-        # execution compiles a row plan.
-        assert fresh is None
-        result = execute_planned(self.SQL, relation, cache=cache)
-        assert len(result) == 4
-        assert not isinstance(
-            cache.lookup(self.SQL, relation)[0].plan, Materialize
-        )
 
-    def test_tagged_entries_carry_no_band(self):
-        schema = RelationSchema("t", [Column("a", "INT")])
-        tags = TagSchema(
-            [IndicatorDefinition("source", "STR")], allowed={"a": ["source"]}
-        )
-        relation = TaggedRelation(schema, tags)
-        for index in range(80):
-            relation.insert({"a": QualityCell(index)})
-        cache = PlanCache()
-        execute_planned(self.SQL, relation, cache=cache)
-        entry = cache.lookup(self.SQL, relation)[0]
-        # Costing never applies to tagged sources, so size changes must
-        # not invalidate their plans.
-        assert entry.columnar_band is None
-        relation.insert({"a": QualityCell(999)})
-        assert cache.lookup(self.SQL, relation) is not None
+        def check():
+            result = execute_planned(self.SQL, relation, cache=cache)
+            assert values(result) == values(naive_execute(self.SQL, relation))
+
+        check()
+        (entry,) = cache._entries[self.SQL]
+        assert isinstance(entry.plan, Materialize)
+        relation.delete(lambda row: True)
+        check()  # empty: no rows reach the columnar fragment
+        relation.insert({"a": 7, "b": "z"})
+        check()  # a single row
+        for i in range(100):
+            relation.insert({"a": i - 50, "b": "y"})
+        check()  # grown back, with rows the filter drops
+        # Size never invalidates a plan: one entry served every step.
+        assert cache.misses == 1 and cache.hits == 3
+        assert cache._entries[self.SQL] == [entry]
 
 
 class TestAnalysisMemo:

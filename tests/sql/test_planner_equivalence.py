@@ -1,13 +1,14 @@
-"""Planner equivalence properties: planned ≡ unplanned ≡ naive.
+"""Planner equivalence properties: optimized ≡ unoptimized ≡ naive.
 
-Three independent QSQL implementations must agree on every statement:
+Three ways of answering a QSQL statement must agree on every statement:
 
-- ``execute(sql, rel)`` — the planner path (logical plan → optimizer
+- ``execute(sql, rel)`` — the optimized plan (logical plan → optimizer
   rewrites → compiled physical plan, with plan caching);
-- ``execute(sql, rel, planner=False)`` — the direct interpretation
-  path (one compiled closure per clause, no plan);
+- ``execute(sql, rel, planner=False)`` — the unoptimized logical plan,
+  run by the same physical executor with no rewrites and no cache;
 - ``naive_execute(sql, rel)`` — the AST-walking per-row reference
-  interpreter in :mod:`repro.experiments.naive`.
+  interpreter in :mod:`repro.experiments.naive`, the independent
+  oracle.
 
 Statements are generated randomly over plain, tagged, and
 polygen-derived sources, so values, tags, *and* polygen source

@@ -9,7 +9,6 @@ import pytest
 
 from repro.relational.relation import Relation
 from repro.relational.schema import schema
-from repro.sql import optimizer as optimizer_mod
 from repro.sql.executor import execute
 from repro.sql.physical import (
     ColumnarSanitizerError,
@@ -109,7 +108,6 @@ class TestEndToEnd:
     @pytest.fixture(autouse=True)
     def sanitized_columnar_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
-        monkeypatch.setattr(optimizer_mod, "COLUMNAR_MIN_ROWS", 0)
         clear_plan_cache()
         yield
         clear_plan_cache()

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import analyze_query, verify_plan
-from repro.sql import optimizer as optimizer_mod
 from repro.sql.executor import execute
 from repro.sql.optimizer import PlanContext
 from repro.sql.parser import parse
@@ -30,17 +29,13 @@ SOURCES = {"tagged": RELATION, "plain": PLAIN}
 
 @pytest.fixture(scope="module", autouse=True)
 def verified_mode():
-    """Arm runtime verification and make the tiny fixtures columnar-
-    eligible for the whole module."""
+    """Arm runtime verification for the whole module."""
     import os
 
     old_env = os.environ.get("REPRO_VERIFY_PLANS")
-    old_min = optimizer_mod.COLUMNAR_MIN_ROWS
     os.environ["REPRO_VERIFY_PLANS"] = "1"
-    optimizer_mod.COLUMNAR_MIN_ROWS = 0
     clear_plan_cache()
     yield
-    optimizer_mod.COLUMNAR_MIN_ROWS = old_min
     if old_env is None:
         os.environ.pop("REPRO_VERIFY_PLANS", None)
     else:
