@@ -19,17 +19,24 @@ storage:
   one aligned ``parameter → [score | None]`` array per partition shard
   (or one flat block when unpartitioned), recomputed **only when that
   shard's mutation counter moved** — the incremental-maintenance
-  contract the BENCH_SCORING floor enforces.
+  contract the BENCH_SCORING floor enforces;
+- a read snapshot's materializer **carries its predecessor's blocks**:
+  each block is derived from the previous snapshot's block by row
+  identity (``TaggedRow`` objects are immutable and shared between
+  snapshots), so after a write only the inserted rows are scored.
 
 The QSQL surface (``WHERE QUALITY(credibility) > 0.8``) routes here:
 the optimizer's ``push_score_predicates`` rewrite compiles such
 conjuncts into a ``ScoreFilter`` plan node whose physical operator
-calls :meth:`ScoreMaterializer.filter_indices`.
+calls :meth:`ScoreMaterializer.filter_indices`, and ``ORDER BY
+QUALITY(credibility)`` keys read :meth:`ScoreMaterializer.score_index`.
 
 Observability (under :func:`repro.obs.metrics.enabled`): the
 ``scores.recomputed`` / ``scores.reused`` counters count row-scores per
-refresh, and the ``scores.staleness`` gauge reports the fraction of
-score blocks found stale on the most recent refresh.
+refresh (a block carried from a predecessor counts its carried rows as
+reused and its newly scored rows as recomputed), and the
+``scores.staleness`` gauge reports the fraction of score blocks found
+stale on the most recent refresh.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from repro.errors import AssessmentError
 from repro.obs import metrics as _obs_metrics
 from repro.quality.scoring import ParameterScorer
+from repro.relational import arrays as _codec
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
 
@@ -294,19 +302,27 @@ def _record_refresh(recomputed: int, reused: int, staleness: float) -> None:
 
 
 class _ScoreBlock:
-    """One segment's score arrays, pinned to the segment's version."""
+    """One segment's score arrays, pinned to the segment's version.
 
-    __slots__ = ("token", "rows", "scores")
+    ``rows`` are the rows the arrays align with: a frozen segment's own
+    row list, or a copy of a live one.  Holding them keeps their ids
+    unique, which :meth:`ScoreMaterializer.score_index` and snapshot
+    carry-over rely on.
+    """
+
+    __slots__ = ("token", "rows", "scores", "index")
 
     def __init__(
         self,
         token: int,
-        rows: int,
+        rows: list,
         scores: dict[str, list[Optional[float]]],
     ) -> None:
         self.token = token
         self.rows = rows
         self.scores = scores
+        #: parameter → {id(row): score}, built on first ORDER BY use.
+        self.index: dict[str, dict[int, Optional[float]]] = {}
 
 
 class ScoreMaterializer:
@@ -318,17 +334,22 @@ class ScoreMaterializer:
     blocks whose segment version moved since the last build; a profile
     re-registration or a ``repartition()`` (layout version bump) drops
     every block.
+
+    A read snapshot's materializer starts from its predecessor's blocks
+    as *seeds* (:meth:`adopt`): a block first asked for is derived from
+    its seed by row identity, scoring only the rows the seed lacks.
     """
 
     def __init__(self, relation: TaggedRelation) -> None:
-        # A weak backref: the module cache maps relation → materializer,
-        # and a strong ref here would make those entries immortal.
+        # A weak backref: the relation holds its materializer, and a
+        # strong ref back would make every snapshot a reference cycle.
         self._relation_ref = weakref.ref(relation)
         self._lock = threading.RLock()
         self._profile: Optional[ScoringProfile] = None
         self._profile_version = -1
         self._layout_version = -1
         self._blocks: dict[int, _ScoreBlock] = {}
+        self._seeds: dict[int, _ScoreBlock] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -336,7 +357,33 @@ class ScoreMaterializer:
         relation = self._relation_ref()
         if relation is None:  # pragma: no cover - defensive
             raise AssessmentError("the materialized relation was dropped")
+        if relation._predecessor is not None:
+            # Outside this materializer's lock: inheriting takes the
+            # relation's lock and then ours (via adopt).
+            relation._inherit()
         return relation
+
+    def adopt(self, previous: "ScoreMaterializer") -> None:
+        """Seed this (unused) materializer with a predecessor's blocks.
+
+        Called by :meth:`TaggedRelation._inherit
+        <repro.tagging.relation.TaggedRelation._inherit>` when a read
+        snapshot first needs derived state.  Seeds only count under the
+        profile registration and partition layout they were built for:
+        :meth:`_resolve_profile` drops them on any change.
+        """
+        with previous._lock:
+            profile = previous._profile
+            profile_version = previous._profile_version
+            layout_version = previous._layout_version
+            seeds = dict(previous._blocks)
+        with self._lock:
+            if profile is None or self._profile is not None:
+                return
+            self._profile = profile
+            self._profile_version = profile_version
+            self._layout_version = layout_version
+            self._seeds = seeds
 
     def _resolve_profile(self, relation: TaggedRelation) -> ScoringProfile:
         """Resolve the bound profile; any change drops every block."""
@@ -353,24 +400,44 @@ class ScoreMaterializer:
             or relation.partition_layout_version != self._layout_version
         ):
             self._blocks = {}
+            self._seeds = {}
             self._profile = profile
             self._profile_version = profile.version
             self._layout_version = relation.partition_layout_version
         return profile
 
     def _compute_block(
-        self, segment: TaggedRelation, profile: ScoringProfile
-    ) -> _ScoreBlock:
+        self,
+        segment: TaggedRelation,
+        profile: ScoringProfile,
+        seed: Optional[_ScoreBlock] = None,
+    ) -> tuple[_ScoreBlock, int]:
+        """A fresh block for ``segment`` and the count of rows scored.
+
+        With a ``seed`` (the predecessor's block for the same bucket),
+        rows found in the seed by identity keep their scores and only
+        the others are scored.
+        """
         token = segment.version
         rows = segment.row_batch()
+        if not segment.frozen:
+            rows = list(rows)
         positions = tagged_positions(segment)
+        if seed is None:
+            where = [-1] * len(rows)
+        else:
+            where = _codec.row_positions(seed.rows, rows)
+        fresh = [index for index, at in enumerate(where) if at < 0]
         scores: dict[str, list[Optional[float]]] = {}
         for parameter in profile.parameters:
-            scores[parameter] = [
-                row_parameter_score(profile, parameter, row, positions)
-                for row in rows
-            ]
-        return _ScoreBlock(token, len(rows), scores)
+            old = () if seed is None else seed.scores[parameter]
+            array = _codec.carry(old, where)
+            for index in fresh:
+                array[index] = row_parameter_score(
+                    profile, parameter, rows[index], positions
+                )
+            scores[parameter] = array
+        return _ScoreBlock(token, rows, scores), len(fresh)
 
     def _segment(self, relation: TaggedRelation, bucket: int) -> TaggedRelation:
         if bucket == _FLAT:
@@ -390,12 +457,18 @@ class ScoreMaterializer:
             segment = self._segment(relation, bucket)
             block = self._blocks.get(bucket)
             if block is not None and block.token == segment.version:
-                reused += block.rows
+                reused += len(block.rows)
                 out[bucket] = block
                 continue
-            stale += 1
-            block = self._compute_block(segment, profile)
-            recomputed += block.rows
+            seed = self._seeds.pop(bucket, None)
+            if seed is not None and seed.rows is segment.row_batch():
+                # The predecessor shares this (frozen) segment.
+                block, scored = seed, 0
+            else:
+                stale += 1
+                block, scored = self._compute_block(segment, profile, seed)
+            recomputed += scored
+            reused += len(block.rows) - scored
             self._blocks[bucket] = block
             out[bucket] = block
         if _obs_metrics.enabled():
@@ -403,6 +476,21 @@ class ScoreMaterializer:
                 recomputed, reused, stale / len(buckets) if buckets else 0.0
             )
         return out
+
+    def _scores(
+        self, block: _ScoreBlock, parameter: str
+    ) -> list[Optional[float]]:
+        """One parameter's array of a block; raises if it is undefined."""
+        try:
+            return block.scores[parameter]
+        except KeyError:
+            profile = self._profile
+            assert profile is not None
+            raise AssessmentError(
+                f"scoring profile {profile.name!r} defines no "
+                f"parameter {parameter!r} "
+                f"(defined: {list(profile.parameters)})"
+            ) from None
 
     # -- public API -----------------------------------------------------------
 
@@ -430,15 +518,24 @@ class ScoreMaterializer:
         key = _FLAT if bucket is None else bucket
         with self._lock:
             block = self._ensure_blocks(relation, [key])[key]
-            profile = self._profile
-            assert profile is not None
-            if parameter not in block.scores:
-                raise AssessmentError(
-                    f"scoring profile {profile.name!r} defines no "
-                    f"parameter {parameter!r} "
-                    f"(defined: {list(profile.parameters)})"
-                )
-            return list(block.scores[parameter])
+            return list(self._scores(block, parameter))
+
+    def score_index(self, parameter: str) -> dict[int, Optional[float]]:
+        """``{id(row): score}`` over the relation's rows (flat block).
+
+        Built once per flat block and kept with it; the block holds its
+        rows, so an id found here is one of those rows.  The ORDER BY
+        path reads sort keys from it instead of re-running scorers.
+        """
+        relation = self._relation()
+        with self._lock:
+            block = self._ensure_blocks(relation, [_FLAT])[_FLAT]
+            index = block.index.get(parameter)
+            if index is None:
+                scores = self._scores(block, parameter)
+                index = dict(zip(map(id, block.rows), scores))
+                block.index[parameter] = index
+            return index
 
     def filter_indices(
         self,
@@ -458,22 +555,14 @@ class ScoreMaterializer:
         key = _FLAT if bucket is None else bucket
         with self._lock:
             block = self._ensure_blocks(relation, [key])[key]
-            profile = self._profile
-            assert profile is not None
             hits: Optional[list[int]] = (
                 None if candidates is None else list(candidates)
             )
             for parameter, op, operand in constraints:
                 if op not in OPERATORS:
                     raise AssessmentError(f"unknown operator {op!r}")
-                if parameter not in block.scores:
-                    raise AssessmentError(
-                        f"scoring profile {profile.name!r} defines no "
-                        f"parameter {parameter!r} "
-                        f"(defined: {list(profile.parameters)})"
-                    )
                 compare = OPERATORS[op]
-                array = block.scores[parameter]
+                array = self._scores(block, parameter)
                 survivors: list[int] = []
                 emit = survivors.append
                 pool = range(len(array)) if hits is None else hits
@@ -492,23 +581,21 @@ class ScoreMaterializer:
             return hits if hits is not None else []
 
 
-# -- the per-relation materializer cache --------------------------------------
-
-_materializers: "weakref.WeakKeyDictionary[TaggedRelation, ScoreMaterializer]"
-_materializers = weakref.WeakKeyDictionary()
-_materializers_lock = threading.Lock()
-
-
 def materializer_for(relation: TaggedRelation) -> ScoreMaterializer:
-    """The (cached) score materializer of one tagged relation object.
+    """The score materializer of one tagged relation object.
 
-    Keyed weakly by the relation object itself: a frozen snapshot gets
-    its own materializer (whose blocks, like the snapshot, never go
-    stale), and dropped relations release their score arrays.
+    Held by the relation itself, so it lives and dies with it.  A
+    frozen read snapshot gets its own materializer, whose blocks (like
+    the snapshot) never go stale, and which derives them from the
+    previous snapshot's blocks: after a write, the next snapshot's
+    first score read scores only the inserted rows.
     """
-    with _materializers_lock:
-        materializer = _materializers.get(relation)
+    materializer = relation._score_state
+    if materializer is not None:
+        return materializer
+    with relation._lock:
+        materializer = relation._score_state
         if materializer is None:
             materializer = ScoreMaterializer(relation)
-            _materializers[relation] = materializer
+            relation._score_state = materializer
         return materializer

@@ -249,12 +249,24 @@ class Relation:
         return row
 
     def insert_many(self, rows: Iterable[Row | dict[str, Any]]) -> int:
-        """Insert many rows; returns the number inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert many rows atomically; returns the number inserted.
+
+        Every row is validated before any is appended, so a bad row
+        leaves the relation unchanged.  The batch then lands under one
+        lock hold with one version bump: a concurrent
+        :meth:`read_snapshot` sees all of it or none of it.
+        """
+        prepared = [self._as_row(row) for row in rows]
+        if not prepared:
+            return 0
+        with self._lock:
+            self._require_mutable()
+            self._rows.extend(prepared)
+            self._version += 1
+            if self._partition_spec is not None:
+                for row in prepared:
+                    self._route_insert(row)
+        return len(prepared)
 
     def _replace_rows(self, rows: list[Row]) -> None:
         """Swap in a new backing row list (trusted; bumps the version).
@@ -445,6 +457,25 @@ class Relation:
     def mark_partitions_clean(self) -> None:
         """Reset dirty tracking (called after a successful save)."""
         self._dirty_partitions.clear()
+
+    def claim_dirty_snapshot(self) -> tuple["Relation", frozenset[int]]:
+        """A read snapshot and the dirty buckets it holds, claimed at once.
+
+        The dirty set is cleared under the same lock hold that pins the
+        snapshot, so a write landing after the claim marks its bucket
+        dirty again for the next save.  A save that fails hands the
+        claimed set back through :meth:`restore_dirty`.
+        """
+        with self._lock:
+            snapshot = self.read_snapshot()
+            dirty = frozenset(self._dirty_partitions)
+            self._dirty_partitions.clear()
+            return snapshot, dirty
+
+    def restore_dirty(self, buckets: Iterable[int]) -> None:
+        """Mark ``buckets`` dirty again (after a failed save)."""
+        with self._lock:
+            self._dirty_partitions.update(buckets)
 
     def partition(self, bucket: int) -> "Relation":
         """The shard relation backing one bucket."""

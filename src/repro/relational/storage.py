@@ -225,22 +225,40 @@ def _save_partitioned(
     buckets — plus any bucket missing from the target — are rewritten,
     and the per-partition writes fan out over a thread pool (file I/O
     releases the GIL).
+
+    The buckets are written from one read snapshot, pinned together
+    with the claim on the dirty set; a write that lands during the save
+    stays marked for the next one, and a failed save restores the
+    claimed marks.
     """
-    spec = obj.partition_spec
+    snapshot, dirty = obj.claim_dirty_snapshot()
+    try:
+        _write_partitions(snapshot, dirty, target)
+    except BaseException:
+        obj.restore_dirty(dirty)
+        raise
+    return target
+
+
+def _write_partitions(
+    snapshot: Relation | TaggedRelation, dirty: frozenset[int], target: Path
+) -> None:
+    """Write one partitioned snapshot's meta and its rewritten buckets."""
+    spec = snapshot.partition_spec
     assert spec is not None
     count = spec.count
-    tagged = isinstance(obj, TaggedRelation)
+    tagged = isinstance(snapshot, TaggedRelation)
     serializer = tagged_relation_to_dict if tagged else relation_to_dict
     target.mkdir(parents=True, exist_ok=True)
 
     meta: dict[str, Any] = {
         "kind": "partitioned",
         "payload_kind": "tagged_relation" if tagged else "relation",
-        "schema": obj.schema.to_dict(),
+        "schema": snapshot.schema.to_dict(),
         "partition": _encode_partition_spec(spec),
     }
     if tagged:
-        meta["tag_schema"] = obj.tag_schema.to_dict()
+        meta["tag_schema"] = snapshot.tag_schema.to_dict()
     _atomic_write_json(meta, target / "_meta.json")
 
     present: set[int] = set()
@@ -252,7 +270,6 @@ def _save_partitioned(
         elif (child / "part.json").exists():
             present.add(bucket)
 
-    dirty = obj.dirty_partitions
     rewrites = sorted(
         bucket
         for bucket in range(count)
@@ -263,7 +280,7 @@ def _save_partitioned(
         part_dir = target / f"key={bucket}"
         part_dir.mkdir(exist_ok=True)
         _atomic_write_json(
-            serializer(obj.partition(bucket)), part_dir / "part.json"
+            serializer(snapshot.partition(bucket)), part_dir / "part.json"
         )
 
     if len(rewrites) > 1:
@@ -275,8 +292,6 @@ def _save_partitioned(
     else:
         for bucket in rewrites:
             write_bucket(bucket)
-    obj.mark_partitions_clean()
-    return target
 
 
 def _load_partitioned(path: Path) -> Relation | TaggedRelation:

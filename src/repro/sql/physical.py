@@ -18,7 +18,11 @@ operators only the optimizer emits are:
   :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` and
   scans contiguous tag arrays instead of evaluating per-cell closures;
 - ``TopK`` — ``heapq.nsmallest`` over a composite sort key (equivalent
-  to the executor's repeated stable sorts followed by LIMIT);
+  to the executor's repeated stable sorts followed by LIMIT); in TopK
+  and Sort, a ``QUALITY(parameter)`` key over a tagged relation's own
+  rows reads the relation's materialized scores
+  (:meth:`~repro.quality.materialize.ScoreMaterializer.score_index`),
+  resolved once per execution instead of one scorer call per row;
 - ``HashJoin`` — build-side hash index chosen by the optimizer;
 - ``Materialize`` + columnar ``Scan``/``Filter``/``Project``/``TopK``/
   ``Limit`` — the vectorized fragment the optimizer's
@@ -105,6 +109,7 @@ from repro.sql.plan import (
     ScoreFilter,
     Sort,
     TopK,
+    score_source,
 )
 from repro.tagging import algebra as tagged_algebra
 from repro.tagging.indicators import TagSchema
@@ -767,28 +772,106 @@ def _check_aggregate_order(plan: Sort | TopK, child: CompiledNode) -> None:
         child.schema.column(item.key.column)
 
 
+#: Marks a row missing from a materialized score index.
+_UNSCORED = object()
+
+
+def _order_keys(
+    plan: Sort | TopK, child: CompiledNode, sanitize: bool
+) -> Callable[[Binding], list]:
+    """Per-item ``(key, descending)`` pairs, resolved per execution.
+
+    Keys on ``QUALITY(parameter)`` over a tagged relation's own rows
+    read that relation's materialized scores: the profile and the
+    ``{id(row): score}`` index resolve once per execution.  A row not
+    in the index (one written to a live relation after its block was
+    built) is scored directly.  Every other key compiles once, as the
+    executor's key function.
+    """
+    source = score_source(plan.child)
+    items = []  # (compiled key, or None for a score key; parameter; desc)
+    for item in plan.order_by:
+        if source is not None and isinstance(item.key, QualityScoreRef):
+            items.append((None, item.key.parameter, item.descending))
+        else:
+            key = _sort_key_function(
+                (item,), child.schema, child.tagged, child.tag_schema
+            )
+            items.append((key, None, item.descending))
+    if all(key is not None for key, _, _ in items):
+        static = [(key, descending) for key, _, descending in items]
+        return lambda binding: static
+    positions = tuple(
+        child.schema.position(column)
+        for column in child.tag_schema.tagged_columns
+    )
+    name = child.schema.name
+
+    def score_key(relation: Any, parameter: str) -> Callable:
+        from repro.quality.materialize import (
+            materializer_for,
+            profile_for,
+            row_parameter_score,
+        )
+
+        profile = profile_for(name)
+        if profile is None or not profile.defines(parameter):
+            raise SQLError(
+                f"QUALITY({parameter}) has no registered scoring "
+                f"profile defining {parameter!r} for relation {name!r}"
+            )
+        lookup = materializer_for(relation).score_index(parameter).get
+
+        def key(row: Any) -> tuple:
+            score = lookup(id(row), _UNSCORED)
+            if score is _UNSCORED:
+                score = row_parameter_score(profile, parameter, row, positions)
+            elif sanitize:
+                fresh = row_parameter_score(
+                    profile, parameter, row, positions
+                )
+                _check_materialized_score(plan, score, fresh)
+            return ((score is not None, score),)
+
+        return key
+
+    def resolve(binding: Binding) -> list:
+        relation = binding[source]
+        return [
+            (key if key is not None else score_key(relation, parameter), desc)
+            for key, parameter, desc in items
+        ]
+
+    return resolve
+
+
+def _check_materialized_score(
+    plan: PlanNode, stored: Any, fresh: Any
+) -> None:
+    """Sanitizer: a materialized sort score equals the row's own score."""
+    if stored != fresh:
+        raise ColumnarSanitizerError(
+            f"{plan.label()}: materialized score {stored!r} differs from "
+            f"the row's score {fresh!r}"
+        )
+
+
 def _compile_sort(
     plan: Sort, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
     child = _compile(plan.child, relations, ids, sanitize)
     if isinstance(plan.child, Aggregate):
         _check_aggregate_order(plan, child)
-    # Repeated stable single-key sorts, least-significant first — the
-    # executor's exact ordering semantics.
-    passes = [
-        (
-            _sort_key_function(
-                (item,), child.schema, child.tagged, child.tag_schema
-            ),
-            item.descending,
-        )
-        for item in reversed(plan.order_by)
-    ]
+    keys = _order_keys(plan, child, sanitize)
     child_run = child.run
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
         rows = list(child_run(binding, stats))
-        for key, descending in passes:
+        if not rows:
+            return rows
+        # Repeated stable single-key sorts, least-significant first —
+        # the executor's exact ordering semantics.
+        for key, descending in reversed(keys(binding)):
             rows.sort(key=key, reverse=descending)
         return rows
 
@@ -803,33 +886,49 @@ def _compile_topk(
         _check_aggregate_order(plan, child)
     if plan.count < 0:
         raise QueryError("limit must be non-negative")
-    parts = [
-        (
-            _sort_key_function(
-                (item,), child.schema, child.tagged, child.tag_schema
-            ),
-            item.descending,
-        )
-        for item in plan.order_by
-    ]
+    keys = _order_keys(plan, child, sanitize)
     count = plan.count
     child_run = child.run
 
-    def composite_key(row: Any) -> tuple:
-        return tuple(
-            _Reversed(key(row)) if descending else key(row)
-            for key, descending in parts
-        )
-
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
+        rows = child_run(binding, stats)
+        if not rows or not count:
+            return []
+        parts = keys(binding)
+        if len(rows) > count:
+            rows = _leading_candidates(rows, count, *parts[0])
+
+        def composite_key(row: Any) -> tuple:
+            return tuple(
+                _Reversed(key(row)) if descending else key(row)
+                for key, descending in parts
+            )
+
         # nsmallest is stable and equivalent to sorted(...)[:k]; the
         # composite key with per-part inversion equals the repeated
         # stable sorts of the Sort operator.
-        return heapq.nsmallest(
-            count, child_run(binding, stats), key=composite_key
-        )
+        return heapq.nsmallest(count, rows, key=composite_key)
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
+
+
+def _leading_candidates(
+    rows: list, count: int, key: Callable, descending: bool
+) -> list:
+    """The rows that can reach the top ``count`` on the leading key alone.
+
+    Every row of the top ``count`` has a leading key no worse than the
+    ``count``-th best (ties included), so only those rows need the full
+    composite key.  They keep their input order, so the stable
+    selection over them returns what it would over all rows.  The
+    leading keys are plain tuples, compared at C speed.
+    """
+    leading = [key(row) for row in rows]
+    if descending:
+        cut = heapq.nlargest(count, leading)[-1]
+        return [row for row, lead in zip(rows, leading) if not lead < cut]
+    cut = heapq.nsmallest(count, leading)[-1]
+    return [row for row, lead in zip(rows, leading) if not cut < lead]
 
 
 def _compile_distinct(

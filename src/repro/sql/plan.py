@@ -20,7 +20,9 @@ Node vocabulary:
   single-relation);
 - :class:`Aggregate` — GROUP BY + aggregate evaluation;
 - :class:`Sort` / :class:`TopK` — full ordering vs. fused
-  ORDER BY + LIMIT via a bounded heap;
+  ORDER BY + LIMIT via a bounded heap; a ``QUALITY(parameter)`` key
+  over a tagged relation's own rows (see :func:`score_source`) reads
+  the relation's materialized scores;
 - :class:`Distinct`, :class:`Limit` — duplicate elimination, row cap;
 - :class:`Materialize` — the boundary between columnar (array +
   selection-vector batches) and row-at-a-time execution: everything
@@ -285,7 +287,7 @@ class Sort:
         return (self.child,)
 
     def label(self) -> str:
-        return f"Sort [{_render_order(self.order_by)}]"
+        return f"Sort [{_render_order(self.order_by, self.child)}]"
 
     def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
         return inputs[0]
@@ -303,7 +305,10 @@ class TopK:
         return (self.child,)
 
     def label(self) -> str:
-        return f"TopK [{_render_order(self.order_by)}, k={self.count}]"
+        return (
+            f"TopK [{_render_order(self.order_by, self.child)}, "
+            f"k={self.count}]"
+        )
 
     def output_columns(self, inputs: tuple[Columns, ...], base: Columns = None) -> Columns:
         return inputs[0]
@@ -468,11 +473,33 @@ def render_expr(expr: Any) -> str:
     return repr(expr)
 
 
-def _render_order(order_by: tuple[OrderItem, ...]) -> str:
-    return ", ".join(
-        f"{render_operand(item.key)} {'DESC' if item.descending else 'ASC'}"
-        for item in order_by
-    )
+def score_source(plan: PlanNode) -> Optional[str]:
+    """The tagged relation whose own rows ``plan`` emits, if any.
+
+    Filters, sorts and limits pass the scanned ``TaggedRow`` objects
+    through unchanged, so a ``QUALITY(parameter)`` order key above them
+    can read that relation's materialized scores; projections,
+    aggregates, joins and DISTINCT build new rows, so it cannot.
+    """
+    node = plan
+    passthrough = (Filter, QualityFilter, ScoreFilter, Sort, TopK, Limit)
+    while isinstance(node, passthrough):
+        node = node.child
+    if isinstance(node, Scan) and node.tagged:
+        return node.relation
+    return None
+
+
+def _render_order(order_by: tuple[OrderItem, ...], child: PlanNode) -> str:
+    materialized = score_source(child) is not None
+    parts = []
+    for item in order_by:
+        direction = "DESC" if item.descending else "ASC"
+        text = f"{render_operand(item.key)} {direction}"
+        if materialized and isinstance(item.key, QualityScoreRef):
+            text += " -> materialized scores"
+        parts.append(text)
+    return ", ".join(parts)
 
 
 def render_plan(plan: PlanNode) -> list[str]:

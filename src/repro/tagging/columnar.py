@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import TagSchemaError, UnknownIndicatorError
 from repro.obs import metrics as _obs_metrics
 from repro.relational import arrays as _codec
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, Row
 from repro.tagging.indicators import TagSchema
 from repro.tagging.query import OPERATORS
 from repro.tagging.relation import TaggedRelation
@@ -62,14 +62,43 @@ class ColumnarTagStore:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_tagged_relation(cls, tagged: TaggedRelation) -> "ColumnarTagStore":
-        """Convert a per-cell tagged relation into columnar form."""
-        store = cls(tagged.values_relation(), tagged.tag_schema)
-        for row_index, row in enumerate(tagged):
-            for column in tagged.tag_schema.tagged_columns:
-                cell = row[column]
-                for tag in cell.tags:
-                    store._arrays[(column, tag.name)][row_index] = tag.value
+    def from_tagged_relation(
+        cls,
+        tagged: TaggedRelation,
+        seed: Optional[tuple[Sequence[Any], "ColumnarTagStore"]] = None,
+    ) -> "ColumnarTagStore":
+        """Convert a per-cell tagged relation into columnar form.
+
+        ``seed`` is an earlier build: ``(rows, store)``, the tagged rows
+        ``store`` was built from.  A row of ``tagged`` found among them
+        by identity keeps its value row and tag entries, so only the
+        others are read cell by cell.  The result is the same either
+        way, because tagged rows are immutable.
+        """
+        rows = tagged.row_batch()
+        schema = tagged.schema
+        if seed is None:
+            positions = [-1] * len(rows)
+            old_values: Sequence[Any] = ()
+        else:
+            positions = _codec.row_positions(seed[0], rows)
+            old_values = seed[1].relation.row_batch()
+        values = _codec.carry(old_values, positions)
+        fresh = [index for index, at in enumerate(positions) if at < 0]
+        for index in fresh:
+            values[index] = Row._from_validated(
+                schema, rows[index].values_tuple()
+            )
+        store = cls(Relation.from_rows(schema, values), tagged.tag_schema)
+        arrays = store._arrays
+        if seed is not None:
+            for key in arrays:
+                arrays[key] = _codec.carry(seed[1]._arrays[key], positions)
+        for column in tagged.tag_schema.tagged_columns:
+            position = schema.index_of(column)
+            for index in fresh:
+                for tag in rows[index].cells[position].tags:
+                    arrays[(column, tag.name)][index] = tag.value
         return store
 
     def to_tagged_relation(self) -> TaggedRelation:

@@ -180,6 +180,18 @@ class TaggedRelation:
             tuple[tuple[int, int], "TaggedRelation"]
         ] = None
         self._frozen = False
+        #: A read snapshot's predecessor: the previous snapshot of the
+        #: same live relation, held until this snapshot first needs
+        #: derived state (see :meth:`_inherit`).
+        self._predecessor: Optional["TaggedRelation"] = None
+        #: Materialized score state (a ``ScoreMaterializer``), attached
+        #: lazily by :func:`repro.quality.materialize.materializer_for`.
+        #: :meth:`_inherit` builds one from this relation and seeds it
+        #: with ``adopt(previous_state)``.
+        self._score_state: Any = None
+        #: The predecessor's columnar store and the rows it was built
+        #: from, until :meth:`columnar_store` carries it over.
+        self._store_seed: Optional[tuple[list[TaggedRow], Any]] = None
         for row in rows:
             self.insert(row)
 
@@ -192,12 +204,17 @@ class TaggedRelation:
                 f"snapshot; write to the live relation instead"
             )
 
+    def _prepare(
+        self, cells: Mapping[str, QualityCell | Any] | TaggedRow
+    ) -> TaggedRow:
+        """Validate one row of cells against both schemas."""
+        if isinstance(cells, TaggedRow):
+            cells = cells.cells_dict()
+        return TaggedRow(self.schema, self.tag_schema, cells)
+
     def insert(self, cells: Mapping[str, QualityCell | Any] | TaggedRow) -> TaggedRow:
         """Insert a row of cells (validated against both schemas)."""
-        if isinstance(cells, TaggedRow):
-            row = TaggedRow(self.schema, self.tag_schema, cells.cells_dict())
-        else:
-            row = TaggedRow(self.schema, self.tag_schema, cells)
+        row = self._prepare(cells)
         with self._lock:
             self._require_mutable()
             self._rows.append(row)
@@ -217,12 +234,24 @@ class TaggedRelation:
         return row
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Insert many rows; returns the count."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Insert many rows atomically; returns the count.
+
+        Every row is validated before any is appended, so a bad row
+        leaves the relation unchanged.  The batch then lands under one
+        lock hold with one version bump: a concurrent
+        :meth:`read_snapshot` sees all of it or none of it.
+        """
+        prepared = [self._prepare(cells) for cells in rows]
+        if not prepared:
+            return 0
+        with self._lock:
+            self._require_mutable()
+            self._rows.extend(prepared)
+            self._version += 1
+            if self._partition_spec is not None:
+                for row in prepared:
+                    self._route_insert(row)
+        return len(prepared)
 
     def delete(self, predicate: Callable[[TaggedRow], bool]) -> int:
         """Delete rows matching ``predicate``; returns the count removed."""
@@ -332,6 +361,25 @@ class TaggedRelation:
         """Reset dirty tracking (called after a successful save)."""
         self._dirty_partitions.clear()
 
+    def claim_dirty_snapshot(self) -> tuple["TaggedRelation", frozenset[int]]:
+        """A read snapshot and the dirty buckets it holds, claimed at once.
+
+        The dirty set is cleared under the same lock hold that pins the
+        snapshot, so a write landing after the claim marks its bucket
+        dirty again for the next save.  A save that fails hands the
+        claimed set back through :meth:`restore_dirty`.
+        """
+        with self._lock:
+            snapshot = self.read_snapshot()
+            dirty = frozenset(self._dirty_partitions)
+            self._dirty_partitions.clear()
+            return snapshot, dirty
+
+    def restore_dirty(self, buckets: Iterable[int]) -> None:
+        """Mark ``buckets`` dirty again (after a failed save)."""
+        with self._lock:
+            self._dirty_partitions.update(buckets)
+
     def partition(self, bucket: int) -> "TaggedRelation":
         """The shard relation backing one bucket."""
         return self._partitions[bucket]
@@ -346,8 +394,12 @@ class TaggedRelation:
         The store is rebuilt whenever :attr:`version` shows the rows
         changed since the last build, so query paths can route
         indicator-constrained scans through contiguous tag arrays
-        without ever reading stale data.
+        without ever reading stale data.  A read snapshot whose
+        predecessor had built a store derives its own from that store
+        (see :meth:`_inherit`): only rows inserted since are tagged.
         """
+        if self._predecessor is not None:
+            self._inherit()
         cached = self._columnar_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -359,7 +411,10 @@ class TaggedRelation:
             cached = self._columnar_cache
             if cached is not None and cached[0] == self._version:
                 return cached[1]
-            store = ColumnarTagStore.from_tagged_relation(self)
+            store = ColumnarTagStore.from_tagged_relation(
+                self, self._store_seed
+            )
+            self._store_seed = None
             self._columnar_cache = (self._version, store)
             return store
 
@@ -379,6 +434,11 @@ class TaggedRelation:
         until the next mutation, carries the partition layout over with
         per-shard snapshot reuse, and rejects every mutation with
         :class:`~repro.errors.SnapshotWriteError`.
+
+        Each new snapshot is handed a predecessor (the previous snapshot
+        under the same partition layout, or the one that snapshot would
+        derive from), from which it derives its columnar store and
+        score arrays; see :meth:`_inherit`.
         """
         with self._lock:
             if self._frozen:
@@ -388,6 +448,8 @@ class TaggedRelation:
             if cached is not None and cached[0] == token:
                 return cached[1]
             snapshot = TaggedRelation(self.schema, self.tag_schema)
+            if cached is not None and cached[0][1] == token[1]:
+                snapshot._predecessor = cached[1]._carrier()
             snapshot._rows = list(self._rows)
             snapshot._partition_spec = self._partition_spec
             snapshot._partition_position = self._partition_position
@@ -401,6 +463,46 @@ class TaggedRelation:
             snapshot._frozen = True
             self._snapshot_cache = (token, snapshot)
             return snapshot
+
+    def _carrier(self) -> Optional["TaggedRelation"]:
+        """The snapshot a successor of this one should derive from.
+
+        This snapshot if it holds derived state; otherwise the one it
+        would itself derive from.  A snapshot with derived state has
+        already dropped its own link, so links never chain, and a
+        snapshot nobody derived anything on is never kept alive.
+        """
+        if self._columnar_cache is not None or self._score_state is not None:
+            return self
+        return self._predecessor
+
+    def _inherit(self) -> None:
+        """Take over the predecessor's derived state as seeds, once.
+
+        Sound because ``TaggedRow`` objects are immutable and shared
+        between snapshots: a row present in both keeps its tag-array
+        entries and its scores, found by identity against the row list
+        a seed was built from (which the seed holds).  Seeds are
+        consumed lazily: the first :meth:`columnar_store` call carries
+        the store, and the score materializer carries each block when
+        first asked for it, so only rows inserted since are tagged or
+        scored.  Seeds come only from state the predecessor built, and
+        the link itself is dropped here, so a snapshot keeps at most
+        one earlier generation alive.
+        """
+        with self._lock:
+            previous = self._predecessor
+            if previous is None:
+                return
+            self._predecessor = None
+            cached = previous._columnar_cache
+            if cached is not None:
+                self._store_seed = (previous.row_batch(), cached[1])
+            state = previous._score_state
+            if state is not None:
+                if self._score_state is None:
+                    self._score_state = type(state)(self)
+                self._score_state.adopt(state)
 
     # -- access -------------------------------------------------------------------
 

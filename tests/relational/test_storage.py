@@ -328,3 +328,106 @@ class TestPartitionedStorage:
         live = restored.relation("events")
         assert live.partition_spec == relation.partition_spec
         assert sum(len(p) for p in live.partitions()) == 10
+
+
+class TestSaveDuringWrites:
+    """Regression: a partitioned save read the dirty set, wrote the live
+    shards, then cleared every mark, so a row inserted into a bucket
+    outside the set while the save ran was never persisted."""
+
+    @staticmethod
+    def _relation(flavor):
+        from repro.relational import hash_partitions
+        from repro.relational.relation import Relation
+        from repro.relational.schema import schema
+        from repro.tagging.indicators import IndicatorDefinition, TagSchema
+        from repro.tagging.relation import TaggedRelation
+
+        events = schema("events", [("id", "INT"), ("region", "STR")])
+        if flavor == "plain":
+            relation = Relation(events)
+        else:
+            relation = TaggedRelation(
+                events, TagSchema(indicators=[IndicatorDefinition("source")])
+            )
+        relation.repartition(hash_partitions("region", 8))
+        for i in range(24):
+            relation.insert({"id": i, "region": f"r{i % 6}"})
+        return relation
+
+    @staticmethod
+    def _region_per_bucket(relation):
+        spec = relation.partition_spec
+        regions = {}
+        for i in range(500):
+            regions.setdefault(spec.bucket_of(f"x{i}"), f"x{i}")
+        return regions
+
+    @staticmethod
+    def _values(relation):
+        return sorted(row.values_tuple() for row in relation.rows)
+
+    @pytest.mark.parametrize("flavor", ["plain", "tagged"])
+    def test_insert_between_bucket_writes_is_saved_next_time(
+        self, flavor, tmp_path, monkeypatch
+    ):
+        from repro.relational import storage as storage_module
+
+        relation = self._relation(flavor)
+        target = tmp_path / "events"
+        save(relation, target)
+        regions = self._region_per_bucket(relation)
+        first, second, late = sorted(regions)[:3]
+        relation.insert({"id": 100, "region": regions[first]})
+        relation.insert({"id": 101, "region": regions[second]})
+
+        real_write = storage_module._atomic_write_json
+        raced = []
+
+        def racing_write(payload, path):
+            result = real_write(payload, path)
+            if path.name == "part.json" and not raced:
+                # A writer lands between the save's two bucket writes.
+                raced.append(path)
+                relation.insert({"id": 102, "region": regions[late]})
+            return result
+
+        monkeypatch.setattr(storage_module, "_atomic_write_json", racing_write)
+        save(relation, target)
+        monkeypatch.undo()
+        assert raced
+        assert late in relation.dirty_partitions
+        save(relation, target)
+        assert self._values(load(target)) == self._values(relation)
+
+    @pytest.mark.parametrize("flavor", ["plain", "tagged"])
+    def test_failed_save_restores_claimed_marks(
+        self, flavor, tmp_path, monkeypatch
+    ):
+        from repro.relational import storage as storage_module
+
+        relation = self._relation(flavor)
+        target = tmp_path / "events"
+        save(relation, target)
+        regions = self._region_per_bucket(relation)
+        first, second = sorted(regions)[:2]
+        relation.insert({"id": 100, "region": regions[first]})
+        relation.insert({"id": 101, "region": regions[second]})
+        claimed = relation.dirty_partitions
+        assert claimed == {first, second}
+
+        real_write = storage_module._atomic_write_json
+
+        def failing_write(payload, path):
+            if path.name == "part.json":
+                raise OSError("disk full")
+            return real_write(payload, path)
+
+        monkeypatch.setattr(storage_module, "_atomic_write_json", failing_write)
+        with pytest.raises(OSError):
+            save(relation, target)
+        monkeypatch.undo()
+        assert relation.dirty_partitions == claimed
+        save(relation, target)
+        assert not relation.dirty_partitions
+        assert self._values(load(target)) == self._values(relation)

@@ -136,6 +136,37 @@ class TestPlanShape:
         assert "ScoreFilter" not in plan
         assert "Filter" in plan
 
+    def test_order_by_score_reads_materialized_scores(self):
+        relation = make_relation()
+        register()
+        plan = explain(
+            "SELECT k FROM readings WHERE QUALITY(credibility) >= 0.3 "
+            "ORDER BY QUALITY(credibility) DESC, k LIMIT 6",
+            relation,
+        )
+        assert plan == "\n".join(
+            [
+                "Project [k]",
+                "└─ TopK [QUALITY(credibility) DESC -> materialized scores, "
+                "k ASC, k=6]",
+                "   └─ ScoreFilter [QUALITY(credibility) >= 0.3 -> "
+                "materialized scores]",
+                "      └─ Scan [readings (tagged)]",
+            ]
+        )
+        unlimited = explain(
+            "SELECT k FROM readings ORDER BY k, QUALITY(timeliness)",
+            relation,
+        )
+        assert unlimited == "\n".join(
+            [
+                "Project [k]",
+                "└─ Sort [k ASC, QUALITY(timeliness) ASC -> materialized "
+                "scores]",
+                "   └─ Scan [readings (tagged)]",
+            ]
+        )
+
 
 class TestEquivalence:
     def test_pushdown_matches_planner_off_and_oracle(self):
@@ -262,6 +293,14 @@ class TestDiagnosticsAndErrors:
                 "WHERE QUALITY(credibility) > 0.5",
                 relation,
             )
+
+    @pytest.mark.parametrize("planner", [True, False])
+    def test_order_by_score_without_profile_raises(self, planner):
+        sql = "SELECT k FROM readings ORDER BY QUALITY(credibility) LIMIT 3"
+        with pytest.raises(SQLError, match="no registered scoring profile"):
+            execute(sql, make_relation(), planner=planner)
+        # As before, an empty input never reaches the sort key.
+        assert len(execute(sql, make_relation(n=0), planner=planner)) == 0
 
 
 class TestPlanCacheInvalidation:
