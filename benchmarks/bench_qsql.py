@@ -11,6 +11,7 @@ import datetime as dt
 from conftest import emit
 
 from repro.experiments.scenarios import customer_database
+from repro.obs import SPEEDUP_FLOORS
 from repro.sql import execute, parse
 from repro.tagging.query import QualityQuery
 
@@ -150,8 +151,50 @@ def _ticks_relation(n=30000):
     return relation
 
 
+def _tagged_customers(n=4096, seed=2):
+    """A frozen snapshot of ``n`` tagged customers with a bound
+    credibility profile (the shape ingest-style readers query)."""
+    import datetime as dt
+    import random
+
+    from repro.experiments.scenarios import (
+        CUSTOMER_SCHEMA,
+        customer_tag_schema,
+    )
+    from repro.quality.materialize import ScoringProfile, register_profile
+    from repro.quality.scoring import credibility_scorer
+    from repro.tagging.cell import QualityCell
+    from repro.tagging.indicators import IndicatorValue
+    from repro.tagging.relation import TaggedRelation
+
+    ratings = {"acct'g": 0.9, "sales": 0.7, "estimate": 0.3, "Nexis": 0.8}
+    rng = random.Random(seed)
+
+    def tags():
+        created = dt.date(1990, 1, 1) + dt.timedelta(days=rng.randrange(1000))
+        return [
+            IndicatorValue("creation_time", created),
+            IndicatorValue("source", rng.choice(sorted(ratings))),
+        ]
+
+    relation = TaggedRelation(CUSTOMER_SCHEMA, customer_tag_schema())
+    relation.insert_many(
+        {
+            "co_name": f"co{index:06d}",
+            "address": QualityCell(f"{rng.randrange(1, 1000)} Elm St", tags()),
+            "employees": QualityCell(rng.randrange(1, 10_000), tags()),
+        }
+        for index in range(n)
+    )
+    register_profile(
+        ScoringProfile("credibility", [credibility_scorer(ratings)]),
+        relations=[CUSTOMER_SCHEMA.name],
+    )
+    return relation.read_snapshot()
+
+
 def test_qsql_planner_json():
-    """Emit BENCH_QSQL.json: the planner's two speedup claims.
+    """Emit BENCH_QSQL.json: the planner's speedup claims.
 
     - *columnar-routed vs per-cell scan*: a cached plan routes
       ``QUALITY(...)`` equality through the columnar tag store's
@@ -160,8 +203,12 @@ def test_qsql_planner_json():
     - *cached vs cold statement*: a repeated statement text skips
       lexing/parsing/analysis/planning/compilation entirely; cold runs
       pay all of it per call.  Floor for this PR: 5x.
+    - *tagged columnar vs row top-k*: a score filter, a value filter
+      and ``ORDER BY QUALITY(credibility) DESC, co_name LIMIT 20`` on
+      a 4,096-row tagged snapshot, run as a columnar fragment over the
+      carried value, tag and score arrays versus ``columnar=False``.
     """
-    from conftest import REPO_ROOT, best_seconds
+    from conftest import REPO_ROOT, best_seconds, best_seconds_interleaved
 
     from repro.experiments.harness import bench_record, write_bench_json
     from repro.sql import clear_plan_cache
@@ -207,6 +254,33 @@ def test_qsql_planner_json():
     cold_s = best_seconds(cold)
     cache_speedup = cold_s / warm_s
 
+    # -- tagged columnar fragment: score top-k on a tagged snapshot -----
+    from repro.quality.materialize import clear_profiles
+
+    snapshot = _tagged_customers()
+    topk_sql = (
+        "SELECT co_name, address FROM customer "
+        "WHERE QUALITY(credibility) > 0.6 AND employees < 6500 "
+        "ORDER BY QUALITY(credibility) DESC, co_name LIMIT 20"
+    )
+    clear_plan_cache()
+    try:
+        columnar_rows = execute(topk_sql, snapshot)
+        row_rows = execute(topk_sql, snapshot, columnar=False)
+        assert [r.cells for r in columnar_rows] == [r.cells for r in row_rows]
+        assert len(columnar_rows) == 20
+        topk_columnar_s, topk_row_s = best_seconds_interleaved(
+            [
+                lambda: execute(topk_sql, snapshot),
+                lambda: execute(topk_sql, snapshot, columnar=False),
+            ],
+            repeats=20,
+        )
+    finally:
+        clear_profiles()
+        clear_plan_cache()
+    topk_speedup = topk_row_s / topk_columnar_s
+
     write_bench_json(
         "BENCH_QSQL.json",
         [
@@ -223,6 +297,15 @@ def test_qsql_planner_json():
             bench_record(
                 "qsql_cold_statement", len(customers), cold_s, speedup=1.0
             ),
+            bench_record(
+                "qsql_tagged_columnar_topk",
+                len(snapshot),
+                topk_columnar_s,
+                speedup=topk_speedup,
+            ),
+            bench_record(
+                "qsql_tagged_row_topk", len(snapshot), topk_row_s, speedup=1.0
+            ),
         ],
         REPO_ROOT,
     )
@@ -232,7 +315,10 @@ def test_qsql_planner_json():
         f"{per_cell_s * 1e3:.3f} ms: {scan_speedup:.1f}x "
         f"({n} rows)\n"
         f"cached stmt   {warm_s * 1e3:.3f} ms vs cold "
-        f"{cold_s * 1e3:.3f} ms: {cache_speedup:.1f}x",
+        f"{cold_s * 1e3:.3f} ms: {cache_speedup:.1f}x\n"
+        f"tagged top-k  {topk_columnar_s * 1e3:.3f} ms columnar vs "
+        f"{topk_row_s * 1e3:.3f} ms row: {topk_speedup:.1f}x",
     )
     assert scan_speedup >= 10
     assert cache_speedup >= 5
+    assert topk_speedup >= SPEEDUP_FLOORS["qsql_tagged_columnar_topk"]

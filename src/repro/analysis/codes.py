@@ -282,8 +282,9 @@ _CODES: tuple[CodeInfo, ...] = (
         ERROR,
         "A whitelisted operator inside a columnar fragment carries work "
         "the vectorized path cannot run: a predicate with QUALITY "
-        "references, a computed projection item, or a non-column "
-        "TopK key.",
+        "references, a computed projection item, or a TopK key that is "
+        "neither a column nor a QUALITY(parameter) score the fragment's "
+        "tagged source can supply.",
     ),
     CodeInfo(
         "DQ407",

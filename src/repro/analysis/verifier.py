@@ -26,8 +26,11 @@ violations through the diagnostics engine as the DQ40x family:
   against NULL, and every routed parameter is defined by the scanned
   relation's bound :class:`~repro.quality.materialize.ScoringProfile`;
 - **columnar discipline** (DQ405/DQ406) — a ``Scan(columnar=True)``
-  reaches its :class:`~repro.sql.plan.Materialize` boundary through
-  whitelisted, vector-executable operators only;
+  (plain or tagged) reaches its :class:`~repro.sql.plan.Materialize`
+  boundary through whitelisted, vector-executable operators only: no
+  QUALITY reference in a columnar Filter, no computed Project item, and
+  a TopK key is a column or a ``QUALITY(parameter)`` score with a score
+  source (:func:`~repro.sql.plan.score_source`);
 - **fusion legality** (DQ407/DQ408) — TopK/Limit/Sort parameters are
   legal and LIMIT-over-ORDER-BY was fused;
 - **partition-pruning legality** (DQ410) — a pruned ``Scan`` (one
@@ -92,6 +95,8 @@ from repro.sql.plan import (
     Sort,
     TopK,
     render_expr,
+    render_operand,
+    score_source,
 )
 from repro.tagging.query import OPERATORS as _STORE_OPERATORS
 from repro.tagging.relation import TaggedRelation
@@ -109,8 +114,12 @@ __all__ = [
 #: empty/"0" arms both.
 ENV_FLAG = "REPRO_VERIFY_PLANS"
 
-#: Operator types allowed between a columnar Scan and its Materialize.
-_FRAGMENT_WHITELIST = (Scan, Filter, Project, TopK, Limit)
+#: Operator types allowed between a columnar Scan and its Materialize
+#: (QualityFilter / ScoreFilter only as a tagged fragment's leaf, which
+#: DQ403 / DQ411 already pin directly above the Scan).
+_FRAGMENT_WHITELIST = (
+    Scan, QualityFilter, ScoreFilter, Filter, Project, TopK, Limit,
+)
 
 
 def verify_plans_enabled() -> bool:
@@ -200,8 +209,8 @@ class _PlanVerifier:
             self.add(
                 "DQ405",
                 f"operator {type(node).__name__} is not allowed inside a "
-                f"columnar fragment (whitelist: Scan, Filter, Project, "
-                f"TopK, Limit)",
+                f"columnar fragment (whitelist: Scan, QualityFilter, "
+                f"ScoreFilter, Filter, Project, TopK, Limit)",
             )
         if isinstance(node, Scan):
             return self.visit_scan(node, in_fragment)
@@ -246,13 +255,6 @@ class _PlanVerifier:
                 f"Scan of {node.relation!r} is marked "
                 f"{'tagged' if node.tagged else 'plain'} but the catalog "
                 f"relation is {'tagged' if tagged else 'plain'}",
-            )
-        if node.columnar and tagged:
-            self.add(
-                "DQ405",
-                f"columnar Scan of {node.relation!r} over a tagged "
-                f"relation; the columnar path supports plain relations "
-                f"only",
             )
         return _Shape(
             tuple(relation.schema.column_names),
@@ -602,13 +604,27 @@ class _PlanVerifier:
                 f"TopK with negative count {node.count}; limits are "
                 f"validated non-negative at parse time",
             )
+        scored = score_source(node.child) is not None
         for item in node.order_by:
-            if in_fragment and not isinstance(item.key, ColumnRef):
+            key = item.key
+            if in_fragment and isinstance(key, QualityScoreRef):
+                if not scored:
+                    self.add(
+                        "DQ406",
+                        f"columnar {kind} key QUALITY({key.parameter}) "
+                        f"has no score source: no tagged relation's own "
+                        f"rows reach it, so no materialized score array "
+                        f"aligns with its batch",
+                        span=item.span,
+                    )
+                    continue
+            elif in_fragment and not isinstance(key, ColumnRef):
                 self.add(
                     "DQ406",
                     f"columnar {kind} key "
-                    f"{getattr(item.key, 'column', item.key)!r} is not a "
-                    f"bare column reference",
+                    f"{render_operand(key)} is not a bare column "
+                    f"reference or a materialized QUALITY(parameter) "
+                    f"score",
                     span=item.span,
                 )
                 continue
@@ -644,7 +660,8 @@ class _PlanVerifier:
         nearest enclosing Filter whose child chain reaches the scan
         through Quality/ScoreFilters only (the exact shapes the
         optimizer's ``prune_partitions`` and ``push_score_predicates``
-        rewrites produce).  Any other interposed
+        rewrites produce), or through the Materialize of a columnar
+        fragment claimed below a row-only Filter.  Any other interposed
         operator resets the governing predicate: a pruned scan it
         reaches has no justification and is a hard error.
         """
@@ -657,7 +674,7 @@ class _PlanVerifier:
             if isinstance(node, Filter):
                 walk(node.child, node.predicate)
                 return
-            if isinstance(node, (QualityFilter, ScoreFilter)):
+            if isinstance(node, (QualityFilter, ScoreFilter, Materialize)):
                 walk(node.child, governing)
                 return
             for child in node.children():
@@ -751,7 +768,7 @@ class _PlanVerifier:
                 f"at {scan.label() if isinstance(scan, Scan) else type(scan).__name__}); "
                 f"the boundary only converts columnar batches to rows",
             )
-        return _Shape(shape.columns, False, None, shape.known)
+        return shape
 
 
 def verify_plan(

@@ -424,14 +424,17 @@ class ScoreMaterializer:
             rows = list(rows)
         positions = tagged_positions(segment)
         if seed is None:
-            where = [-1] * len(rows)
+            plan = [(-1, len(rows))]
         else:
-            where = _codec.row_positions(seed.rows, rows)
-        fresh = [index for index, at in enumerate(where) if at < 0]
+            # Seeds only exist for frozen snapshots, whose rows are the
+            # segment's own list: the identity map the segment's tag
+            # store carried its arrays by serves here too.
+            plan = segment.carry_plan(seed.rows)
+        fresh = _codec.fresh_positions(plan)
         scores: dict[str, list[Optional[float]]] = {}
         for parameter in profile.parameters:
             old = () if seed is None else seed.scores[parameter]
-            array = _codec.carry(old, where)
+            array = _codec.carry(old, plan)
             for index in fresh:
                 array[index] = row_parameter_score(
                     profile, parameter, rows[index], positions
@@ -512,13 +515,32 @@ class ScoreMaterializer:
     def row_scores(
         self, parameter: str, bucket: Optional[int] = None
     ) -> list[Optional[float]]:
-        """The materialized score array for one block (flat by default),
-        aligned with that block's row order."""
+        """A copy of the materialized score array for one block (flat
+        by default), aligned with that block's row order."""
+        return list(self.score_array(parameter, bucket)[1])
+
+    def score_array(
+        self, parameter: str, bucket: Optional[int] = None
+    ) -> tuple[list, list[Optional[float]]]:
+        """``(rows, scores)`` of one block (flat by default), no copy.
+
+        ``scores[i]`` is the score of ``rows[i]``; a caller holding
+        arrays aligned with another row list checks ``rows`` against
+        it (identity) before indexing by position.  Treat both lists
+        as read-only.
+        """
         relation = self._relation()
         key = _FLAT if bucket is None else bucket
         with self._lock:
             block = self._ensure_blocks(relation, [key])[key]
-            return list(self._scores(block, parameter))
+            return block.rows, self._scores(block, parameter)
+
+    def block_rows(self, bucket: Optional[int] = None) -> Optional[list]:
+        """The rows the current block (flat by default) aligns with, or
+        None when none is built; never refreshes (a sanitizer probe)."""
+        with self._lock:
+            block = self._blocks.get(_FLAT if bucket is None else bucket)
+            return None if block is None else block.rows
 
     def score_index(self, parameter: str) -> dict[int, Optional[float]]:
         """``{id(row): score}`` over the relation's rows (flat block).
@@ -555,30 +577,17 @@ class ScoreMaterializer:
         key = _FLAT if bucket is None else bucket
         with self._lock:
             block = self._ensure_blocks(relation, [key])[key]
-            hits: Optional[list[int]] = (
-                None if candidates is None else list(candidates)
-            )
+            hits: Optional[Sequence[int]] = candidates
             for parameter, op, operand in constraints:
                 if op not in OPERATORS:
                     raise AssessmentError(f"unknown operator {op!r}")
-                compare = OPERATORS[op]
                 array = self._scores(block, parameter)
-                survivors: list[int] = []
-                emit = survivors.append
-                pool = range(len(array)) if hits is None else hits
-                for index in pool:
-                    score = array[index]
-                    if score is None:
-                        continue
-                    try:
-                        if compare(score, operand):
-                            emit(index)
-                    except TypeError:
-                        continue
-                hits = survivors
+                hits = _codec.matching(array, OPERATORS[op], operand, hits)
                 if not hits:
                     break
-            return hits if hits is not None else []
+            if hits is None:
+                return []
+            return list(hits) if hits is candidates else hits
 
 
 def materializer_for(relation: TaggedRelation) -> ScoreMaterializer:

@@ -176,7 +176,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self,
     ) -> Optional[tuple[str, dict[str, Any], bool]]:
         """Parse the POST body; replies 400 and returns None on errors."""
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot
+            # carry another request: close it after the reply.
+            self.close_connection = True
+            self._reply_error(400, "Content-Length must be an integer")
+            return None
         if length <= 0:
             self._reply_error(400, "request body required")
             return None

@@ -17,6 +17,7 @@ model), plain sources yield plain relations.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Mapping, Union
 
 from repro.relational.catalog import Database
@@ -40,14 +41,16 @@ from repro.tagging.relation import TaggedRelation, TaggedRow
 
 AnyRelation = Union[Relation, TaggedRelation]
 
+#: QSQL comparison operator → its ``operator`` module function (the
+#: same result as ``a <op> b``, with no Python frame per call).
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 

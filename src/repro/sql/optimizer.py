@@ -73,6 +73,7 @@ from repro.sql.plan import (
     Sort,
     TopK,
     derive_plan_columns,
+    score_source,
 )
 from repro.tagging.relation import TaggedRelation
 
@@ -758,30 +759,47 @@ def fuse_topk(plan: PlanNode) -> PlanNode:
 def _vectorizable_chain(
     node: PlanNode, context: PlanContext
 ) -> Optional[tuple[list[PlanNode], Scan]]:
-    """The operator chain from ``node`` down to an eligible plain Scan.
+    """The operator chain from ``node`` down to an eligible Scan.
 
     Returns ``(chain, scan)`` — ``chain`` top-down, excluding the scan —
     when every operator between ``node`` and the scan runs batch-at-a-
     time over column arrays with semantics identical to the row path:
 
-    - ``Filter`` whose predicate reads only columns/literals (QUALITY
-      references need per-cell tags, which plain relations lack anyway);
+    - ``Filter`` whose predicate reads only columns/literals (a QUALITY
+      reference needs per-cell tags or per-row scores);
     - ``Project`` of bare column references (renaming is free on
       arrays; computed QUALITY items are not);
     - ``TopK`` / ``Limit`` keyed on bare columns — they only shrink the
-      selection vector.
+      selection vector — or, for ``TopK``, on ``QUALITY(parameter)``
+      where :func:`~repro.sql.plan.score_source` finds the tagged
+      relation's own rows below, whose materialized score array the
+      key reads;
+    - over a tagged scan, the ``QualityFilter`` / ``ScoreFilter``
+      directly above it: their tag-array and score-array scans emit a
+      selection vector over the relation's value arrays.
 
-    Costing: the fragment must contain at least one Filter or Project
-    (a bare scan, or Limit/TopK alone, is already O(1)/O(n) over the
-    backing row list — transposing to arrays would only add work), and
-    the base relation must be a plain :class:`Relation`.  Relation size
-    plays no part: the plan stays valid as the relation grows or
-    shrinks, so a cached plan never needs replanning for it.
+    Costing: the fragment must contain at least one Filter, Project,
+    QualityFilter or ScoreFilter (a bare scan, or Limit/TopK alone, is
+    already O(1)/O(n) over the backing row list — reading arrays would
+    only add work), and the base relation must be a plain
+    :class:`Relation` or a :class:`TaggedRelation` matching the scan's
+    flag.  Relation size plays no part: the plan stays valid as the
+    relation grows or shrinks, so a cached plan never needs replanning
+    for it.
     """
     chain: list[PlanNode] = []
     worthwhile = False
     while not isinstance(node, Scan):
-        if isinstance(node, Filter):
+        if isinstance(node, (QualityFilter, ScoreFilter)):
+            inner = node.child
+            if isinstance(node, ScoreFilter) and isinstance(
+                inner, QualityFilter
+            ):
+                inner = inner.child
+            if not isinstance(inner, Scan):
+                return None
+            worthwhile = True
+        elif isinstance(node, Filter):
             if _expr_columns(node.predicate) is None:
                 return None
             worthwhile = True
@@ -790,16 +808,22 @@ def _vectorizable_chain(
                 return None
             worthwhile = True
         elif isinstance(node, TopK):
-            if not all(isinstance(i.key, ColumnRef) for i in node.order_by):
+            scored = score_source(node.child) is not None
+            if not all(
+                isinstance(i.key, ColumnRef)
+                or (scored and isinstance(i.key, QualityScoreRef))
+                for i in node.order_by
+            ):
                 return None
         elif not isinstance(node, Limit):
             return None
         chain.append(node)
         node = node.children()[0]
-    if not worthwhile or node.tagged or node.columnar:
+    if not worthwhile or node.columnar:
         return None
     relation = context.relation(node.relation)
-    if not isinstance(relation, Relation):
+    expected = TaggedRelation if node.tagged else Relation
+    if not isinstance(relation, expected):
         return None
     return chain, node
 
@@ -807,7 +831,7 @@ def _vectorizable_chain(
 def choose_access_paths(
     plan: PlanNode, context: PlanContext, columnar: bool = True
 ) -> PlanNode:
-    """Flip scan-heavy fragments over plain relations to columnar.
+    """Flip scan-heavy fragments to columnar.
 
     Top-down: at each node, try to claim the longest vectorizable
     chain ending at an eligible scan; on success the whole fragment is

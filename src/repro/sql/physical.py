@@ -26,12 +26,16 @@ operators only the optimizer emits are:
 - ``HashJoin`` — build-side hash index chosen by the optimizer;
 - ``Materialize`` + columnar ``Scan``/``Filter``/``Project``/``TopK``/
   ``Limit`` — the vectorized fragment the optimizer's
-  :func:`~repro.sql.optimizer.choose_access_paths` emits.  Inside the
-  fragment, operators pass ``(column arrays, selection vector)``
-  batches: predicates run over whole arrays (same NULL/TypeError
-  semantics as the row closures), projection reorders array references,
-  TopK/Limit shrink the selection vector, and ``Materialize`` builds
-  ``Row`` objects late, only for the surviving positions.
+  :func:`~repro.sql.optimizer.choose_access_paths` emits, over a plain
+  relation or a tagged one (whose fragment may start at the
+  ``QualityFilter``/``ScoreFilter`` over the scan).  Inside the
+  fragment, operators pass ``(column arrays, selection vector, tagged
+  source)`` batches: predicates run over whole arrays (same
+  NULL/TypeError semantics as the row closures), projection reorders
+  array references, TopK/Limit shrink the selection vector, and
+  ``Materialize`` builds ``Row`` objects late, only for the surviving
+  positions — or, in a tagged fragment, gathers the relation's own
+  ``TaggedRow`` objects.
 
 Compiled plans close over *names and schemas only*, never over relation
 instances: the binding supplies relations at run time, which is what
@@ -64,6 +68,7 @@ raise :class:`ColumnarSanitizerError`.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
@@ -72,6 +77,7 @@ from repro.errors import QueryError
 from repro.obs import metrics as _obs_metrics
 from repro.obs.stats import ExecutionStats
 from repro.relational import algebra as plain_algebra
+from repro.relational import arrays as _codec
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Column, RelationSchema
 from repro.sql.errors import SQLError
@@ -810,16 +816,10 @@ def _order_keys(
     def score_key(relation: Any, parameter: str) -> Callable:
         from repro.quality.materialize import (
             materializer_for,
-            profile_for,
             row_parameter_score,
         )
 
-        profile = profile_for(name)
-        if profile is None or not profile.defines(parameter):
-            raise SQLError(
-                f"QUALITY({parameter}) has no registered scoring "
-                f"profile defining {parameter!r} for relation {name!r}"
-            )
+        profile = _score_profile(name, parameter)
         lookup = materializer_for(relation).score_index(parameter).get
 
         def key(row: Any) -> tuple:
@@ -843,6 +843,20 @@ def _order_keys(
         ]
 
     return resolve
+
+
+def _score_profile(name: str, parameter: str) -> Any:
+    """The profile scoring ``parameter`` on relation ``name``; raises
+    the executor's error when none is registered."""
+    from repro.quality.materialize import profile_for
+
+    profile = profile_for(name)
+    if profile is None or not profile.defines(parameter):
+        raise SQLError(
+            f"QUALITY({parameter}) has no registered scoring "
+            f"profile defining {parameter!r} for relation {name!r}"
+        )
+    return profile
 
 
 def _check_materialized_score(
@@ -921,9 +935,9 @@ def _leading_candidates(
     ``count``-th best (ties included), so only those rows need the full
     composite key.  They keep their input order, so the stable
     selection over them returns what it would over all rows.  The
-    leading keys are plain tuples, compared at C speed.
+    leading keys are plain tuples (or raw values), compared at C speed.
     """
-    leading = [key(row) for row in rows]
+    leading = list(map(key, rows))
     if descending:
         cut = heapq.nlargest(count, leading)[-1]
         return [row for row, lead in zip(rows, leading) if not lead < cut]
@@ -964,33 +978,75 @@ def _compile_limit(
 # -- columnar execution ------------------------------------------------------
 #
 # Inside a Materialize boundary, operators exchange *columnar batches*:
-# ``(columns, sel)`` where ``columns`` is the list of per-column value
-# arrays in schema order and ``sel`` is the selection vector — the row
-# positions still alive, in ascending row order (``None`` means "every
-# position").  Filters shrink ``sel`` without touching the arrays;
-# Project reorders array references; only Materialize builds rows.
+# ``(columns, sel, source)`` where ``columns`` is the list of per-column
+# value arrays in schema order, ``sel`` is the selection vector — the
+# row positions still alive, in ascending row order (``None`` means
+# "every position") — and ``source`` is the :class:`_TaggedSource` the
+# arrays align with in a tagged fragment (``None`` in a plain one).
+# Filters shrink ``sel`` without touching the arrays; Project reorders
+# array references; only Materialize builds (or, tagged, gathers) rows.
 
-#: A columnar batch: (column arrays in schema order, selection vector).
-ColumnarBatch = tuple[list, Optional[list]]
+#: A columnar batch: (column arrays in schema order, selection vector,
+#: tagged source or None).
+ColumnarBatch = tuple[list, Optional[list], Optional["_TaggedSource"]]
+
+
+class _TaggedSource:
+    """The tagged rows a tagged fragment's arrays align with.
+
+    ``parts`` lists ``(bucket, rows)`` for each storage segment the
+    fragment's leaf read, in array order (``bucket`` is None for the
+    flat relation); ``rows`` is their concatenation, so position ``i``
+    of every array belongs to ``rows[i]``.  ``relation`` is the bound
+    relation, whose score materializer serves ``QUALITY(parameter)``
+    sort keys.
+    """
+
+    __slots__ = ("relation", "parts", "rows")
+
+    def __init__(self, relation: Any, parts: list[tuple[Any, list]]) -> None:
+        self.relation = relation
+        self.parts = parts
+        if len(parts) == 1:
+            self.rows = parts[0][1]
+        else:
+            self.rows = [row for _, rows in parts for row in rows]
 
 
 class _ColumnarNode:
-    """One compiled columnar operator (always plain, untagged)."""
+    """One compiled columnar operator.
 
-    __slots__ = ("run", "schema")
+    ``tag_schema`` is set in a tagged fragment: the output rows carry
+    tags under it.  ``cells`` then maps each output column to the cell
+    position of the source row it comes from (``None`` while the
+    fragment still emits the source rows' own column order).
+    """
+
+    __slots__ = ("run", "schema", "tag_schema", "cells")
 
     def __init__(
         self,
         run: Callable[[Binding, Optional[ExecutionStats]], ColumnarBatch],
         schema: RelationSchema,
+        tag_schema: Optional[TagSchema] = None,
+        cells: Optional[tuple[int, ...]] = None,
     ) -> None:
         self.run = run
         self.schema = schema
+        self.tag_schema = tag_schema
+        self.cells = cells
+
+    def derived(
+        self,
+        run: Callable[[Binding, Optional[ExecutionStats]], ColumnarBatch],
+    ) -> "_ColumnarNode":
+        """The same output shape produced by another batch function."""
+        return _ColumnarNode(run, self.schema, self.tag_schema, self.cells)
 
 
-def _batch_rows(batch: ColumnarBatch) -> int:
+def _batch_rows(batch: tuple) -> int:
     """Live rows in a columnar batch (selection size, or full length)."""
-    columns, sel = batch
+    columns, sel = batch[0], batch[1]
     if sel is not None:
         return len(sel)
     return len(columns[0]) if columns else 0
@@ -999,13 +1055,22 @@ def _batch_rows(batch: ColumnarBatch) -> int:
 def _compile_materialize(
     plan: Materialize, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
-    """Columnar fragment → row land: gather survivors, build rows late."""
+    """Columnar fragment → row land: gather survivors, build rows late.
+
+    A plain fragment builds ``Row`` objects from the surviving array
+    positions.  A tagged fragment builds nothing for its survivors: it
+    gathers the source's own ``TaggedRow`` objects (tags and all), and
+    only a projection inside the fragment rebuilds them with the
+    projected cells.
+    """
     child = _compile_columnar(plan.child, relations, ids, sanitize)
+    if child.tag_schema is not None:
+        return _compile_tagged_materialize(child, sanitize)
     out_schema = child.schema
     child_run = child.run
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        columns, sel = child_run(binding, stats)
+        columns, sel, _ = child_run(binding, stats)
         make = Row._from_validated
         if sel is None:
             # zip(*columns) transposes at C level — one tuple per row.
@@ -1029,14 +1094,57 @@ def _compile_materialize(
     return CompiledNode(run, out_schema, False, None)
 
 
+def _compile_tagged_materialize(
+    child: _ColumnarNode, sanitize: bool
+) -> CompiledNode:
+    """A tagged fragment's boundary: the source rows at ``sel``."""
+    out_schema = child.schema
+    cells = child.cells
+    child_run = child.run
+
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
+        columns, sel, source = child_run(binding, stats)
+        rows = source.rows
+        picked = list(rows) if sel is None else [rows[i] for i in sel]
+        if sanitize:
+            _check_tagged_alignment(columns, sel, rows, cells)
+        if cells is None:
+            return picked
+        make = TaggedRow._from_validated
+        return [
+            make(out_schema, tuple([row.cells[p] for p in cells]))
+            for row in picked
+        ]
+
+    return CompiledNode(run, out_schema, True, child.tag_schema)
+
+
+def _check_tagged_alignment(
+    columns: list, sel: Optional[list], rows: list, cells: Optional[tuple]
+) -> None:
+    """Sanitizer: each surviving source row holds the array values."""
+    positions = cells if cells is not None else range(len(columns))
+    for i in _base_positions(columns, sel):
+        row_cells = rows[i].cells
+        for array, p in zip(columns, positions):
+            value = row_cells[p].value
+            if array[i] is not value and array[i] != value:
+                raise ColumnarSanitizerError(
+                    f"Materialize: value array holds {array[i]!r} at "
+                    f"position {i} but the source row's cell holds "
+                    f"{value!r} (array/row misalignment)"
+                )
+
+
 def _fragment_ordered(plan: PlanNode) -> bool:
     """Whether a fragment operator's selection vector is in row order.
 
-    Scans emit full batches (trivially ordered); Filter/Project/Limit
-    preserve their input's order; TopK emits *key* order (heap output),
-    so everything from it up is unordered.
+    Scans emit full batches and the tagged leaves (QualityFilter,
+    ScoreFilter) ascending store-scan hits (trivially ordered);
+    Filter/Project/Limit preserve their input's order; TopK emits *key*
+    order (heap output), so everything from it up is unordered.
     """
-    if isinstance(plan, Scan):
+    if isinstance(plan, (Scan, QualityFilter, ScoreFilter)):
         return True
     if isinstance(plan, TopK):
         return False
@@ -1044,10 +1152,15 @@ def _fragment_ordered(plan: PlanNode) -> bool:
 
 
 def _check_columnar_batch(
-    label: str, schema: RelationSchema, batch: ColumnarBatch, ordered: bool
+    label: str, schema: RelationSchema, batch: tuple, ordered: bool
 ) -> None:
-    """Sanitizer: one batch's array and selection-vector invariants."""
-    columns, sel = batch
+    """Sanitizer: one batch's array and selection-vector invariants.
+
+    ``batch`` is ``(columns, sel)`` or a full :data:`ColumnarBatch`; a
+    tagged batch's source rows must match the arrays' length.
+    """
+    columns, sel = batch[0], batch[1]
+    source = batch[2] if len(batch) > 2 else None
     if len(columns) != len(schema.column_names):
         raise ColumnarSanitizerError(
             f"{label}: batch carries {len(columns)} arrays but the "
@@ -1059,9 +1172,15 @@ def _check_columnar_batch(
             f"{label}: column arrays disagree on length "
             f"({sorted(lengths)}); rows would be built misaligned"
         )
+    length = lengths.pop() if lengths else 0
+    if source is not None and len(source.rows) != length:
+        raise ColumnarSanitizerError(
+            f"{label}: arrays have {length} entries but the tagged "
+            f"source holds {len(source.rows)} rows; Materialize would "
+            f"gather misaligned rows"
+        )
     if sel is None:
         return
-    length = lengths.pop() if lengths else 0
     previous = -1
     seen: set[int] = set()
     for index in sel:
@@ -1091,7 +1210,12 @@ def _compile_columnar(
     plan: PlanNode, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> _ColumnarNode:
     """Compile one operator of a columnar fragment (plus stats wrapper)."""
-    if isinstance(plan, Scan):
+    if isinstance(plan, (QualityFilter, ScoreFilter)) or (
+        isinstance(plan, Scan)
+        and isinstance(relations.get(plan.relation), TaggedRelation)
+    ):
+        node = _compile_tagged_leaf(plan, relations, ids, sanitize)
+    elif isinstance(plan, Scan):
         node = _compile_columnar_scan(plan, relations, ids)
     elif isinstance(plan, Filter):
         node = _compile_columnar_filter(plan, relations, ids, sanitize)
@@ -1116,7 +1240,7 @@ def _compile_columnar(
             _check_columnar_batch(label, schema, batch, ordered)
             return batch
 
-        node = _ColumnarNode(run_checked, schema)
+        node = node.derived(run_checked)
     if ids is None:
         return node
     op_id = ids[id(plan)]
@@ -1137,7 +1261,7 @@ def _compile_columnar(
             stats.annotate(op_id, batch="columnar")
         return batch
 
-    return _ColumnarNode(run, node.schema)
+    return node.derived(run)
 
 
 def _compile_columnar_scan(
@@ -1148,15 +1272,13 @@ def _compile_columnar_scan(
         relation = relations[name]
     except KeyError:
         raise SQLError(f"unknown relation {name!r} in plan binding") from None
-    if isinstance(relation, TaggedRelation):
-        raise SQLError("columnar scans support plain relations only")
 
     if plan.partitions is None:
 
         def run(
             binding: Binding, stats: Optional[ExecutionStats]
         ) -> ColumnarBatch:
-            return binding[name].columnar_store().column_arrays(), None
+            return binding[name].columnar_store().column_arrays(), None, None
 
     else:
         op_id = None if ids is None else ids[id(plan)]
@@ -1170,7 +1292,7 @@ def _compile_columnar_scan(
             live = binding[name]
             shards = _surviving_partitions(plan, live)
             if shards is None:
-                return live.columnar_store().column_arrays(), None
+                return live.columnar_store().column_arrays(), None, None
             if len(shards) == 1:
                 # Zero-copy: a single surviving partition serves its own
                 # version-gated column arrays directly.
@@ -1197,9 +1319,152 @@ def _compile_columnar_scan(
                     partitions=note,
                     partition_rows=tuple(rows_by_partition),
                 )
-            return columns, None
+            return columns, None, None
 
     return _ColumnarNode(run, relation.schema)
+
+
+def _compile_tagged_leaf(
+    plan: PlanNode, relations: Binding, ids: OpIds, sanitize: bool = False
+) -> _ColumnarNode:
+    """The leaf of a tagged fragment: a tagged Scan, or the
+    QualityFilter / ScoreFilter directly over one.
+
+    Emits the store's value arrays with the filters' selection vector:
+    tag constraints scan the :class:`~repro.tagging.columnar.ColumnarTagStore`
+    arrays, score constraints the materialized score arrays, and no row
+    list is built.  Partitioned scans follow the plain columnar scan's
+    per-shard rules: a layout that no longer matches reads the flat
+    relation, one surviving shard is served zero-copy, several are
+    concatenated (hit positions offset by the shards before them).
+    """
+    score_constraints: Optional[list] = None
+    tag_constraints: Optional[list] = None
+    node = plan
+    if isinstance(node, ScoreFilter):
+        score_constraints = list(node.constraints)
+        node = node.child
+    if isinstance(node, QualityFilter):
+        tag_constraints = list(node.constraints)
+        node = node.child
+    if not isinstance(node, Scan):
+        raise SQLError(
+            f"{type(plan).__name__} must sit directly above a tagged "
+            f"Scan in a columnar fragment"
+        )
+    scan = node
+    name = scan.relation
+    try:
+        relation = relations[name]
+    except KeyError:
+        raise SQLError(f"unknown relation {name!r} in plan binding") from None
+    if not isinstance(relation, TaggedRelation):
+        raise SQLError(f"{plan.label()} requires a tagged relation")
+    schema = relation.schema
+    width = len(schema.column_names)
+    # The leaf reads storage directly, so a swallowed Scan's closure
+    # never runs: credit its row count (and partition note) here, so the
+    # annotated tree still shows the filter's input size.
+    scan_id = None if ids is None else ids[id(scan)]
+    swallowed = scan is not plan
+    label = plan.label()
+    pruned_count = note = None
+    if scan.partitions is not None:
+        pruned_count = scan.partition_total - len(scan.partitions)
+        note = f"{len(scan.partitions)}/{scan.partition_total}"
+
+    from repro.quality.materialize import materializer_for
+
+    def read(segment: Any, bucket: Any, materializer: Any) -> tuple:
+        """One segment's (store, selection vector or None)."""
+        store = segment.columnar_store()
+        sel = None
+        if tag_constraints is not None:
+            sel = store.scan(tag_constraints)
+        if score_constraints is not None:
+            sel = materializer.filter_indices(
+                score_constraints, bucket=bucket, candidates=sel
+            )
+            if sanitize:
+                _check_score_alignment(label, materializer, bucket, store)
+        return store, sel
+
+    def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
+        live = binding[name]
+        materializer = (
+            None if score_constraints is None else materializer_for(live)
+        )
+        shards = (
+            None if scan.partitions is None
+            else _surviving_partitions(scan, live)
+        )
+        if shards is None:
+            store, sel = read(live, None, materializer)
+            columns = store.column_arrays()
+            parts = [(None, store.tagged_rows)]
+        else:
+            reads = [
+                read(shard, bucket, materializer)
+                for bucket, shard in zip(scan.partitions, shards)
+            ]
+            parts = [
+                (bucket, store.tagged_rows)
+                for bucket, (store, _) in zip(scan.partitions, reads)
+            ]
+            if len(reads) == 1:
+                store, sel = reads[0]
+                columns = store.column_arrays()
+            else:
+                arrays = [store.column_arrays() for store, _ in reads]
+                columns = [
+                    [value for part in arrays for value in part[index]]
+                    for index in range(width)
+                ]
+                sel = None
+                if any(hits is not None for _, hits in reads):
+                    sel = []
+                    offset = 0
+                    for store, hits in reads:
+                        length = len(store)
+                        sel.extend(
+                            range(offset, offset + length) if hits is None
+                            else (offset + i for i in hits)
+                        )
+                        offset += length
+        source = _TaggedSource(live, parts)
+        if shards is not None and _obs_metrics.enabled():
+            _record_partition_scan(len(source.rows), pruned_count)
+        if stats is not None and scan_id is not None:
+            if swallowed:
+                stats.record(scan_id, len(source.rows), 0.0)
+                stats.annotate(scan_id, batch="columnar", columns=width)
+            if shards is not None:
+                stats.annotate(
+                    scan_id,
+                    partitions=note,
+                    partition_rows=tuple(len(rows) for _, rows in parts),
+                )
+        return columns, sel, source
+
+    return _ColumnarNode(run, schema, relation.tag_schema)
+
+
+def _check_score_alignment(
+    label: str, materializer: Any, bucket: Any, store: Any
+) -> None:
+    """Sanitizer: a score block's rows are the store's rows, in order,
+    so score-filter hits index the store's value arrays correctly."""
+    block_rows = materializer.block_rows(bucket)
+    rows = store.tagged_rows
+    if block_rows is rows:
+        return
+    if block_rows is None or len(block_rows) != len(rows) or not all(
+        map(operator.is_, block_rows, rows)
+    ):
+        raise ColumnarSanitizerError(
+            f"{label}: the score block's rows are not the tag store's "
+            f"rows; score-filter hits would select misaligned values"
+        )
 
 
 def _compile_columnar_filter(
@@ -1212,22 +1477,22 @@ def _compile_columnar_filter(
         # As on the row path: TRUE filters were dropped by the
         # optimizer, so a surviving literal is falsy — nothing passes.
         if predicate_expr.value:
-            return _ColumnarNode(child_run, child.schema)
+            return child
 
         def run_empty(
             binding: Binding, stats: Optional[ExecutionStats]
         ) -> ColumnarBatch:
-            columns, _ = child_run(binding, stats)
-            return columns, []
+            columns, _, source = child_run(binding, stats)
+            return columns, [], source
 
-        return _ColumnarNode(run_empty, child.schema)
+        return child.derived(run_empty)
     predicate = _compile_columnar_predicate(predicate_expr, child.schema)
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
-        return columns, predicate(columns, sel)
+        columns, sel, source = child_run(binding, stats)
+        return columns, predicate(columns, sel), source
 
-    return _ColumnarNode(run, child.schema)
+    return child.derived(run)
 
 
 def _base_positions(columns: list, sel: Optional[list]):
@@ -1430,16 +1695,7 @@ def _columnar_comparison(
             except ValueError:
                 pass
             return hits
-        for i in _base_positions(columns, sel):
-            value = array[i]
-            if value is None:
-                continue
-            try:
-                if compare(value, constant):
-                    emit(i)
-            except TypeError:
-                continue
-        return hits
+        return _codec.matching(array, compare, constant, sel)
 
     return run_col_const
 
@@ -1458,84 +1714,170 @@ def _compile_columnar_project(
     }
     positions = child.schema.positions_of(names)
     out_schema = child.schema.project(names, None)
+    out_tags = cells = None
+    if child.tag_schema is not None:
+        out_tags = child.tag_schema.project(names)
+        if renames:
+            out_tags = out_tags.rename_columns(renames)
+        # Output column j reads cell cells[j] of the source row.
+        cells = tuple(
+            positions if child.cells is None
+            else [child.cells[p] for p in positions]
+        )
     if renames:
         out_schema = out_schema.rename_columns(renames)
     child_run = child.run
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
+        columns, sel, source = child_run(binding, stats)
         # Projection over arrays is free: reorder the references.
-        return [columns[p] for p in positions], sel
+        return [columns[p] for p in positions], sel, source
 
-    return _ColumnarNode(run, out_schema)
+    return _ColumnarNode(run, out_schema, out_tags, cells)
 
 
 def _compile_columnar_topk(
     plan: TopK, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> _ColumnarNode:
+    """Bounded selection over key arrays: the selection vector shrinks
+    to the top ``count`` positions, in key order.
+
+    A key is a column's value array or, for ``QUALITY(parameter)`` over
+    a tagged fragment that still emits its source rows
+    (:func:`~repro.sql.plan.score_source`), the source's aligned
+    materialized score array (:func:`_source_scores`).  Keys compare as
+    the row TopK's do: ``(value is not None, value)`` per key.
+    """
     child = _compile_columnar(plan.child, relations, ids, sanitize)
     if plan.count < 0:
         raise QueryError("limit must be non-negative")
-    specs = [
-        (child.schema.position(item.key.column), item.descending)
-        for item in plan.order_by
-    ]
+    scored = score_source(plan.child) is not None
+    specs = []  # (column position, or None for a score key; parameter; desc)
+    for item in plan.order_by:
+        if scored and isinstance(item.key, QualityScoreRef):
+            specs.append((None, item.key.parameter, item.descending))
+        else:
+            position = child.schema.position(item.key.column)
+            specs.append((position, None, item.descending))
     count = plan.count
     child_run = child.run
 
-    directions = {descending for _, descending in specs}
-    if len(directions) == 1:
-        # Uniform direction: plain tuple keys, no _Reversed wrappers.
-        # All-DESC is nlargest over the ascending key (both are
-        # sorted(..., reverse=...)[:n], stable on ties), so the heap
-        # compares native tuples at C speed instead of calling
-        # _Reversed.__lt__ per comparison.
-        select = heapq.nlargest if directions.pop() else heapq.nsmallest
-        positions = [p for p, _ in specs]
-
-        def run(
-            binding: Binding, stats: Optional[ExecutionStats]
-        ) -> ColumnarBatch:
-            columns, sel = child_run(binding, stats)
-            arrays = [columns[p] for p in positions]
-            if len(arrays) == 1:
-                array = arrays[0]
-
-                def key(i: int) -> tuple:
-                    value = array[i]
-                    return (value is not None, value)
-
-            else:
-
-                def key(i: int) -> tuple:
-                    return tuple(
-                        (a[i] is not None, a[i]) for a in arrays
-                    )
-
-            base = _base_positions(columns, sel)
-            return columns, select(count, base, key=key)
-
-        return _ColumnarNode(run, child.schema)
-
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
-        arrays = [(columns[p], descending) for p, descending in specs]
-
-        def composite_key(i: int) -> tuple:
-            # Mirrors the row TopK's key exactly: each part is the
-            # None-safe ((not-None, value),) tuple, inverted per
-            # direction — so ordering and stability are identical.
-            parts = []
-            for array, descending in arrays:
-                value = array[i]
-                part = ((value is not None, value),)
-                parts.append(_Reversed(part) if descending else part)
-            return tuple(parts)
-
+        columns, sel, source = child_run(binding, stats)
         base = _base_positions(columns, sel)
-        return columns, heapq.nsmallest(count, base, key=composite_key)
+        if not base or not count:
+            # As on the row path, an empty input never reaches the sort
+            # keys (a score key would need a profile).
+            return columns, [], source
+        keys = [
+            (
+                columns[p] if p is not None
+                else _source_scores(plan, source, parameter, sel, sanitize),
+                descending,
+            )
+            for p, parameter, descending in specs
+        ]
+        try:
+            top = _top_positions(base, count, keys, _value_key)
+        except TypeError:
+            # A NULL (or incomparable) key value: rank by the row
+            # TopK's None-safe (not-None, value) pairs instead.
+            top = _top_positions(base, count, keys, _pair_key)
+        return columns, top, source
 
-    return _ColumnarNode(run, child.schema)
+    return child.derived(run)
+
+
+def _value_key(array: list) -> Callable[[int], Any]:
+    """A position's sort key: its raw value, compared at C speed.  It
+    orders like :func:`_pair_key` whenever no value is None."""
+    return array.__getitem__
+
+
+def _pair_key(array: list) -> Callable[[int], tuple]:
+    """A position's None-safe sort key, as the row TopK builds it."""
+
+    def key(i: int) -> tuple:
+        value = array[i]
+        return (value is not None, value)
+
+    return key
+
+
+def _top_positions(
+    base: Any, count: int, keys: list, make_key: Callable
+) -> list:
+    """The first ``count`` positions of ``base`` ordered by ``keys``.
+
+    ``keys`` are ``(array, descending)`` pairs, most significant first.
+    One key: a stable bounded heap (all-DESC is ``nlargest``, which is
+    ``sorted(..., reverse=True)[:n]`` and keeps ties in row order).
+    Several: the rows that can reach the top on the leading key alone
+    (:func:`_leading_candidates`), then repeated stable single-key
+    sorts, least-significant first, which order exactly as the row
+    TopK's composite key does.
+    """
+    if len(keys) == 1:
+        array, descending = keys[0]
+        select = heapq.nlargest if descending else heapq.nsmallest
+        return select(count, base, key=make_key(array))
+    ranked = list(base)
+    if len(ranked) > count:
+        lead, descending = keys[0]
+        ranked = _leading_candidates(ranked, count, make_key(lead), descending)
+    for array, descending in reversed(keys):
+        ranked.sort(key=make_key(array), reverse=descending)
+    return ranked[:count]
+
+
+def _source_scores(
+    plan: PlanNode,
+    source: "_TaggedSource",
+    parameter: str,
+    sel: Optional[list],
+    sanitize: bool,
+) -> list:
+    """``parameter``'s materialized scores aligned with ``source.rows``.
+
+    Each segment's score block is read in place when its rows are the
+    very list the fragment's arrays came from (always the case on a
+    frozen snapshot), so an unpartitioned read copies nothing.  A
+    block built over another copy of the rows (a live relation) is
+    matched by row identity instead, and a row missing from it is
+    scored directly.  The sanitizer re-scores every ranked position.
+    """
+    from repro.quality.materialize import (
+        materializer_for,
+        row_parameter_score,
+        tagged_positions,
+    )
+
+    relation = source.relation
+    profile = _score_profile(relation.schema.name, parameter)
+    materializer = materializer_for(relation)
+    positions = tagged_positions(relation)
+    arrays = []
+    for bucket, rows in source.parts:
+        block_rows, scores = materializer.score_array(parameter, bucket)
+        if block_rows is not rows:
+            # As the row TopK keys do: the flat block's id index, and a
+            # row missing from it scored directly.
+            lookup = materializer.score_index(parameter).get
+            scores = [lookup(id(row), _UNSCORED) for row in rows]
+            for index, score in enumerate(scores):
+                if score is _UNSCORED:
+                    scores[index] = row_parameter_score(
+                        profile, parameter, rows[index], positions
+                    )
+        arrays.append(scores)
+    scores = arrays[0] if len(arrays) == 1 else [s for a in arrays for s in a]
+    if sanitize:
+        for i in range(len(scores)) if sel is None else sel:
+            fresh = row_parameter_score(
+                profile, parameter, source.rows[i], positions
+            )
+            _check_materialized_score(plan, scores[i], fresh)
+    return scores
 
 
 def _compile_columnar_limit(
@@ -1548,12 +1890,12 @@ def _compile_columnar_limit(
     child_run = child.run
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> ColumnarBatch:
-        columns, sel = child_run(binding, stats)
+        columns, sel, source = child_run(binding, stats)
         if sel is not None:
-            return columns, sel[:count]
+            return columns, sel[:count], source
         length = len(columns[0]) if columns else 0
         if count >= length:
-            return columns, None
-        return columns, list(range(count))
+            return columns, None, source
+        return columns, list(range(count)), source
 
-    return _ColumnarNode(run, child.schema)
+    return child.derived(run)

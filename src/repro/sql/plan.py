@@ -477,12 +477,16 @@ def score_source(plan: PlanNode) -> Optional[str]:
     """The tagged relation whose own rows ``plan`` emits, if any.
 
     Filters, sorts and limits pass the scanned ``TaggedRow`` objects
-    through unchanged, so a ``QUALITY(parameter)`` order key above them
-    can read that relation's materialized scores; projections,
-    aggregates, joins and DISTINCT build new rows, so it cannot.
+    through unchanged, and so does the Materialize of a tagged columnar
+    fragment with no projection (it gathers the source's own rows), so
+    a ``QUALITY(parameter)`` order key above them can read that
+    relation's materialized scores; projections, aggregates, joins and
+    DISTINCT build new rows, so it cannot.
     """
     node = plan
-    passthrough = (Filter, QualityFilter, ScoreFilter, Sort, TopK, Limit)
+    passthrough = (
+        Filter, QualityFilter, ScoreFilter, Sort, TopK, Limit, Materialize,
+    )
     while isinstance(node, passthrough):
         node = node.child
     if isinstance(node, Scan) and node.tagged:

@@ -14,6 +14,13 @@ Trade-offs this module lets the E2 ablation measure:
   of per-cell dictionaries (faster filters, smaller per-tag overhead);
 - con: rows are no longer self-describing, tags don't travel through
   row-at-a-time operators, and deletions must keep every array aligned.
+
+The store also keeps one value array per column, aligned with the tag
+arrays, so the QSQL columnar engine can run value predicates and sort
+keys of a tagged fragment over arrays.  A store built from a tagged
+relation remembers the ``TaggedRow`` list its arrays align with
+(:attr:`ColumnarTagStore.tagged_rows`): late materialization gathers
+those rows, tags and all, instead of building new ones.
 """
 
 from __future__ import annotations
@@ -49,15 +56,33 @@ def _record_scan(rows_total: int, rows_hit: int) -> None:
 class ColumnarTagStore:
     """Plain relation + aligned per-(column, indicator) tag arrays."""
 
-    def __init__(self, relation: Relation, tag_schema: TagSchema) -> None:
+    def __init__(
+        self,
+        relation: Relation,
+        tag_schema: TagSchema,
+        values: Optional[list[list[Any]]] = None,
+        tags: Optional[dict[tuple[str, str], list[Any]]] = None,
+    ) -> None:
         tag_schema.check_against(relation.schema)
         self.relation = relation
         self.tag_schema = tag_schema
-        # (column, indicator) → list aligned with relation rows.
-        self._arrays: dict[tuple[str, str], list[Any]] = {}
-        for column in tag_schema.tagged_columns:
-            for indicator in tag_schema.allowed_for(column):
-                self._arrays[(column, indicator)] = [None] * len(relation)
+        # (column, indicator) → list aligned with relation rows; a build
+        # that already has the arrays passes ``tags`` (and ``values``).
+        self._arrays: dict[tuple[str, str], list[Any]] = tags or {
+            (column, indicator): [None] * len(relation)
+            for column in tag_schema.tagged_columns
+            for indicator in tag_schema.allowed_for(column)
+        }
+        # column → value list aligned with relation rows (``values`` in
+        # schema order).
+        names = relation.schema.column_names
+        if values is None:
+            rows = relation.row_batch()
+            values = [[row.at(p) for row in rows] for p in range(len(names))]
+        self._values: dict[str, list[Any]] = dict(zip(names, values))
+        #: The tagged rows the arrays align with (set by
+        #: :meth:`from_tagged_relation`; None for a standalone store).
+        self.tagged_rows: Optional[Sequence[Any]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -71,34 +96,51 @@ class ColumnarTagStore:
 
         ``seed`` is an earlier build: ``(rows, store)``, the tagged rows
         ``store`` was built from.  A row of ``tagged`` found among them
-        by identity keeps its value row and tag entries, so only the
-        others are read cell by cell.  The result is the same either
-        way, because tagged rows are immutable.
+        by identity keeps its value row, value entries and tag entries
+        (carried by the relation's one identity map,
+        :meth:`~repro.tagging.relation.TaggedRelation.carry_plan`),
+        so only the others are read cell by cell.  The result is the
+        same either way, because tagged rows are immutable.
         """
         rows = tagged.row_batch()
+        if not tagged.frozen:
+            rows = list(rows)  # a live list moves on; keep this version
         schema = tagged.schema
+        names = schema.column_names
         if seed is None:
-            positions = [-1] * len(rows)
-            old_values: Sequence[Any] = ()
+            plan = [(-1, len(rows))]
+            old_rows: Sequence[Any] = ()
+            old_columns: list[Sequence[Any]] = [()] * len(names)
         else:
-            positions = _codec.row_positions(seed[0], rows)
-            old_values = seed[1].relation.row_batch()
-        values = _codec.carry(old_values, positions)
-        fresh = [index for index, at in enumerate(positions) if at < 0]
-        for index in fresh:
-            values[index] = Row._from_validated(
-                schema, rows[index].values_tuple()
+            plan = tagged.carry_plan(seed[0])
+            old_rows = seed[1].relation.row_batch()
+            old_columns = seed[1].column_arrays()
+        values = _codec.carry(old_rows, plan)
+        columns = [_codec.carry(array, plan) for array in old_columns]
+        tag_schema = tagged.tag_schema
+        arrays = {
+            (column, indicator): _codec.carry(
+                () if seed is None else seed[1]._arrays[(column, indicator)],
+                plan,
             )
-        store = cls(Relation.from_rows(schema, values), tagged.tag_schema)
-        arrays = store._arrays
-        if seed is not None:
-            for key in arrays:
-                arrays[key] = _codec.carry(seed[1]._arrays[key], positions)
-        for column in tagged.tag_schema.tagged_columns:
+            for column in tag_schema.tagged_columns
+            for indicator in tag_schema.allowed_for(column)
+        }
+        fresh = _codec.fresh_positions(plan)
+        for index in fresh:
+            value_tuple = rows[index].values_tuple()
+            values[index] = Row._from_validated(schema, value_tuple)
+            for column, value in zip(columns, value_tuple):
+                column[index] = value
+        for column in tag_schema.tagged_columns:
             position = schema.index_of(column)
             for index in fresh:
                 for tag in rows[index].cells[position].tags:
                     arrays[(column, tag.name)][index] = tag.value
+        store = cls(
+            Relation.from_rows(schema, values), tag_schema, columns, arrays
+        )
+        store.tagged_rows = rows
         return store
 
     def to_tagged_relation(self) -> TaggedRelation:
@@ -127,8 +169,11 @@ class ColumnarTagStore:
         tags: Optional[dict[tuple[str, str], Any]] = None,
     ) -> int:
         """Append one row with its tags; returns the new row index."""
-        self.relation.insert(values)
+        inserted = self.relation.insert(values)
+        for array, value in zip(self.column_arrays(), inserted.values_tuple()):
+            array.append(value)
         _codec.append_blank(self._arrays.values())
+        self.tagged_rows = None  # the tagged rows no longer align
         row_index = len(self.relation) - 1
         for (column, indicator), value in (tags or {}).items():
             self.set_tag(row_index, column, indicator, value)
@@ -161,6 +206,8 @@ class ColumnarTagStore:
             return 0
         self.relation._replace_rows(_codec.gather(rows, keep))
         _codec.compact_in_place(self._arrays, keep)
+        _codec.compact_in_place(self._values, keep)
+        self.tagged_rows = None  # the tagged rows no longer align
         return removed
 
     def check_aligned(self) -> None:
@@ -170,16 +217,21 @@ class ColumnarTagStore:
         back (e.g. ``store.relation.delete(...)`` instead of
         ``store.delete(...)``); scanning would return misaligned rows.
         """
-        divergence = _codec.misaligned(len(self.relation), self._arrays)
+        divergence = _codec.misaligned(
+            len(self.relation), self._arrays
+        ) or _codec.misaligned(len(self.relation), self._values)
         if divergence is not None:
-            (column, indicator), length = divergence
+            key, length = divergence
+            array = (
+                f"tag array {key!r}" if isinstance(key, tuple)
+                else f"value array {key!r}"
+            )
             raise TagSchemaError(
                 f"columnar store is out of sync with its backing "
                 f"relation {self.relation.schema.name!r}: relation has "
-                f"{len(self.relation)} rows but tag array ({column!r}, "
-                f"{indicator!r}) has {length} entries; mutate "
-                f"through the store (append/set_tag/delete), not the "
-                f"relation directly"
+                f"{len(self.relation)} rows but {array} has {length} "
+                f"entries; mutate through the store "
+                f"(append/set_tag/delete), not the relation directly"
             )
 
     # -- access --------------------------------------------------------------------
@@ -195,6 +247,13 @@ class ColumnarTagStore:
                 f"indicator {indicator!r} is not allowed on column {column!r}"
             )
         return self._arrays[key][row_index]
+
+    def column_arrays(self) -> list[list[Any]]:
+        """Every column's value array, in schema order (treat as
+        read-only): row ``i``'s value of column ``c`` is
+        ``column_arrays()[c][i]``, aligned with the tag arrays."""
+        values = self._values
+        return [values[name] for name in self.relation.schema.column_names]
 
     def tag_array(self, column: str, indicator: str) -> Sequence[Any]:
         """The whole aligned tag array (read-only view by convention)."""

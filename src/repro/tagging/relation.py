@@ -18,6 +18,7 @@ from repro.errors import (
     TagSchemaError,
     UnknownColumnError,
 )
+from repro.relational import arrays as _codec
 from repro.relational.partition import PartitionSpec
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import RelationSchema
@@ -192,6 +193,12 @@ class TaggedRelation:
         #: The predecessor's columnar store and the rows it was built
         #: from, until :meth:`columnar_store` carries it over.
         self._store_seed: Optional[tuple[list[TaggedRow], Any]] = None
+        #: ``(old_rows, plan)`` of the last :meth:`carry_plan` call, so
+        #: the tag store and the score block derived from one
+        #: predecessor share one identity map.
+        self._carry_map: Optional[
+            tuple[list[TaggedRow], _codec.CarryPlan]
+        ] = None
         for row in rows:
             self.insert(row)
 
@@ -503,6 +510,28 @@ class TaggedRelation:
                 if self._score_state is None:
                     self._score_state = type(state)(self)
                 self._score_state.adopt(state)
+
+    def carry_plan(self, old_rows: list[TaggedRow]) -> _codec.CarryPlan:
+        """This relation's rows mapped onto ``old_rows`` by identity
+        (:func:`repro.relational.arrays.carry_plan`).
+
+        The identity map a derivation from a predecessor carries arrays
+        across (:func:`repro.relational.arrays.carry`).  A frozen
+        relation computes it once per ``old_rows`` list: the columnar
+        store and the flat score block seeded from the same predecessor
+        rows reuse it.  The memo holds ``old_rows``, which keeps the
+        row ids it maps unique.  No lock is taken: a frozen relation's
+        rows never change, so two racing callers compute the same plan,
+        and the score materializer calls this while holding its own
+        lock (DESIGN.md §16 lock order).
+        """
+        cached = self._carry_map
+        if cached is not None and cached[0] is old_rows:
+            return cached[1]
+        plan = _codec.carry_plan(old_rows, self._rows)
+        if self._frozen:
+            self._carry_map = (old_rows, plan)
+        return plan
 
     # -- access -------------------------------------------------------------------
 

@@ -31,6 +31,8 @@ from repro.sql.nodes import (
     Literal,
     OrderItem,
     QualityRef,
+    QualityScoreRef,
+    SelectItem,
 )
 from repro.sql.optimizer import PlanContext
 from repro.sql.parser import parse
@@ -39,6 +41,7 @@ from repro.sql.plan import (
     Filter,
     Limit,
     Materialize,
+    Project,
     QualityFilter,
     Scan,
     ScoreFilter,
@@ -124,6 +127,64 @@ MUTATIONS = {
 }
 
 
+#: Illegal *tagged* columnar fragments: (golden name, code, plan).
+TAGGED_FRAGMENT_MUTATIONS = {
+    # A per-cell tag read left in a columnar Filter: the fragment's
+    # batches carry value arrays, not cells.
+    "dq406_tagged_quality_ref": (
+        "DQ406",
+        lambda: Materialize(
+            Filter(
+                Scan("customer", tagged=True, columnar=True),
+                Comparison(
+                    "=", QualityRef("address", "source"), Literal("x")
+                ),
+            )
+        ),
+    ),
+    # A score key above a projection: the projected rows are not the
+    # relation's own, so no score array aligns with the batch.
+    "dq406_score_key_no_source": (
+        "DQ406",
+        lambda: Materialize(
+            TopK(
+                Project(
+                    Scan("customer", tagged=True, columnar=True),
+                    (SelectItem(ColumnRef("co_name")),),
+                ),
+                (OrderItem(QualityScoreRef("credibility")),),
+                3,
+            )
+        ),
+    ),
+    # A tag-store scan with no Materialize above it.
+    "dq405_tagged_unbounded": (
+        "DQ405",
+        lambda: QualityFilter(
+            Scan("customer", tagged=True, columnar=True),
+            (("address", "source", "==", "x"),),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(TAGGED_FRAGMENT_MUTATIONS), ids=sorted(TAGGED_FRAGMENT_MUTATIONS)
+)
+def test_tagged_fragment_mutation_caught(name):
+    code, build = TAGGED_FRAGMENT_MUTATIONS[name]
+    plan = build()
+    diagnostics = verify_plan(plan, CONTEXT, context_label=name)
+    assert code in diagnostics.codes(), (
+        f"mutation {name} produced {diagnostics.codes()}"
+    )
+    rendered = f"plan: {plan!r}\n{diagnostics.render()}\n"
+    path = GOLDEN_DIR / f"verifier_{name}.txt"
+    if os.environ.get("UPDATE_GOLDEN"):
+        path.write_text(rendered, encoding="utf-8")
+    assert rendered == path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("code", sorted(MUTATIONS), ids=sorted(MUTATIONS))
 def test_mutation_caught_by_dedicated_code(code):
     plan = MUTATIONS[code]()
@@ -170,6 +231,17 @@ class TestCleanPlans:
         # the fixture is large enough that costing chose the columnar path
         assert "Materialize" in repr(plan)
         assert not verify_plan(plan, CONTEXT)
+
+    def test_tagged_columnar_plan_verifies(self):
+        sql = (
+            "SELECT co_name, employees FROM customer "
+            "WHERE QUALITY(employees.source) = 'x' AND employees > 10 "
+            "ORDER BY employees DESC LIMIT 3"
+        )
+        plan = _optimized(sql)
+        assert "Scan(relation='customer', tagged=True, columnar=True" in repr(plan)
+        diagnostics = verify_plan(plan, CONTEXT, sql=sql)
+        assert not diagnostics, diagnostics.render()
 
     def test_unknown_relation_is_lenient(self):
         plan = Filter(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from repro.tagging.indicators import (
     TagSchema,
 )
 from repro.tagging.relation import TaggedRelation
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -61,13 +66,26 @@ class TestExplainAnalyze:
         # Same operators as plain EXPLAIN...
         assert "Project" in text and "TopK" in text
         assert "QualityFilter" in text
-        assert "Scan [t (tagged)]" in text
+        assert "Scan [t (tagged, columnar)]" in text
         # ...but annotated with measured facts from a real execution.
         assert "rows=4" in text  # the TopK/Project output
         assert " ms" in text and "time=" in text
         assert "selectivity=" in text
         # 10 of 20 rows carry source=s1: the columnar scan ratio.
         assert "selectivity=50.0%" in text
+
+    def test_tagged_columnar_golden(self, tagged):
+        """The tagged fragment, batch by batch: every operator under the
+        Materialize runs columnar, the swallowed Scan included.
+        Regenerate with ``UPDATE_GOLDEN=1``."""
+        clear_plan_cache()
+        result = execute(f"EXPLAIN ANALYZE {SQL}", tagged)
+        text = "\n".join(row["plan"] for row in result)
+        rendered = re.sub(r"time=[0-9.]+ ms", "time=<t> ms", text) + "\n"
+        path = GOLDEN_DIR / "explain_analyze_tagged_columnar.txt"
+        if os.environ.get("UPDATE_GOLDEN"):
+            path.write_text(rendered, encoding="utf-8")
+        assert rendered == path.read_text(encoding="utf-8")
 
     def test_matches_plain_explain_shape(self, tagged):
         plain = execute(f"EXPLAIN {SQL}", tagged)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -118,6 +119,28 @@ def test_malformed_requests_get_400(served):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(request, timeout=10)
     assert info.value.code == 400
+
+
+def test_non_integer_content_length_gets_400(served):
+    """A bad Content-Length is the client's fault: a 400 reply, not a
+    handler traceback and a dropped connection."""
+    base, _, _ = served
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: abc\r\n"
+            b"\r\n"
+            b'{"sql": "SELECT a FROM t"}'
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert json.loads(body) == {"error": "Content-Length must be an integer"}
 
 
 def test_unknown_paths_get_404(served):

@@ -72,7 +72,7 @@ class TestAccessPathChoice:
         assert plan.index("Project") < plan.index("TopK")
         assert plan.index("TopK") < plan.index("Filter")
 
-    def test_tagged_relation_stays_on_row_path(self):
+    def test_tagged_relation_goes_columnar(self):
         tags = TagSchema(
             [IndicatorDefinition("source", "STR")], allowed={"a": ["source"]}
         )
@@ -86,7 +86,11 @@ class TestAccessPathChoice:
                 }
             )
         plan = explain("SELECT a FROM t WHERE a > 10", tagged)
-        assert "columnar" not in plan
+        assert plan.startswith("Materialize [columnar -> rows]")
+        assert "Scan [t (tagged, columnar)]" in plan
+        # The escape hatch keeps tagged plans on the row path.
+        row_plan = explain("SELECT a FROM t WHERE a > 10", tagged, columnar=False)
+        assert "columnar" not in row_plan
 
     def test_aggregate_above_columnar_filter(self):
         plan = explain(

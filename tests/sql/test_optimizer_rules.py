@@ -326,7 +326,8 @@ class TestExplain:
         assert "Project" in text
         assert "TopK" in text
         assert "QualityFilter" in text and "columnar scan" in text
-        assert "Scan [t (tagged)]" in text
+        assert text.startswith("Materialize [columnar -> rows]")
+        assert "Scan [t (tagged, columnar)]" in text
 
     def test_explain_rejected_from_unplanned_path(self, tagged):
         # The planner-free path was once rejected here (there was no plan

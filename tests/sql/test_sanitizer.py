@@ -14,6 +14,7 @@ from repro.sql.physical import (
     ColumnarSanitizerError,
     _check_columnar_batch,
     _check_scan_indices,
+    _TaggedSource,
     _fragment_ordered,
     sanitize_enabled,
 )
@@ -80,6 +81,13 @@ class TestBatchCheck:
             False,
         )
 
+    def test_tagged_source_must_match_array_length(self):
+        source = _TaggedSource(None, [(None, ["r0", "r1", "r2"])])
+        with pytest.raises(ColumnarSanitizerError, match="tagged source"):
+            _check_columnar_batch(
+                "Filter", T_SCHEMA, ([[1, 2], ["x", "y"]], None, source), True
+            )
+
     def test_unordered_fragment_rejects_duplicates(self):
         with pytest.raises(ColumnarSanitizerError):
             _check_columnar_batch(
@@ -130,6 +138,44 @@ class TestEndToEnd:
             relation,
         )
         assert [row["a"] for row in topk.rows] == [29, 28, 27, 26]
+
+    def test_tagged_fragment_runs_clean(self):
+        from repro.quality.materialize import (
+            ScoringProfile,
+            clear_profiles,
+            register_profile,
+        )
+        from repro.quality.scoring import credibility_scorer
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.indicators import (
+            IndicatorDefinition,
+            IndicatorValue,
+            TagSchema,
+        )
+        from repro.tagging.relation import TaggedRelation
+
+        tags = TagSchema(
+            [IndicatorDefinition("source", "STR")], allowed={"b": ["source"]}
+        )
+        relation = TaggedRelation(T_SCHEMA, tags)
+        for i in range(30):
+            source = IndicatorValue("source", "s1" if i % 3 else "s2")
+            relation.insert({"a": i, "b": QualityCell(f"s{i % 5}", [source])})
+        register_profile(
+            ScoringProfile(
+                "cred", [credibility_scorer({"s1": 0.9, "s2": 0.4})]
+            ),
+            relations=["t"],
+        )
+        try:
+            top = execute(
+                "SELECT a FROM t WHERE QUALITY(credibility) > 0.5 AND a > 3 "
+                "ORDER BY QUALITY(credibility) DESC, a DESC LIMIT 3",
+                relation.read_snapshot(),
+            )
+        finally:
+            clear_profiles()
+        assert [row["a"].value for row in top.rows] == [29, 28, 26]
 
     def test_cached_sanitized_plan_reruns_clean(self):
         relation = self.make_relation()

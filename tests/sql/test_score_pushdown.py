@@ -146,12 +146,13 @@ class TestPlanShape:
         )
         assert plan == "\n".join(
             [
-                "Project [k]",
-                "└─ TopK [QUALITY(credibility) DESC -> materialized scores, "
-                "k ASC, k=6]",
-                "   └─ ScoreFilter [QUALITY(credibility) >= 0.3 -> "
+                "Materialize [columnar -> rows]",
+                "└─ Project [k]",
+                "   └─ TopK [QUALITY(credibility) DESC -> materialized "
+                "scores, k ASC, k=6]",
+                "      └─ ScoreFilter [QUALITY(credibility) >= 0.3 -> "
                 "materialized scores]",
-                "      └─ Scan [readings (tagged)]",
+                "         └─ Scan [readings (tagged, columnar)]",
             ]
         )
         unlimited = explain(
