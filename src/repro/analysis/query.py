@@ -32,6 +32,7 @@ from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.sql.errors import SQLError
+from repro.sql.executor import _FLIPPED, _leaf_test
 from repro.sql.nodes import (
     AggregateCall,
     BoolOp,
@@ -493,7 +494,8 @@ class _Analyzer:
 
     def check_degenerate_comparison(self, node: Comparison) -> None:
         if isinstance(node.left, Literal) and isinstance(node.right, Literal):
-            truth = _constant_truth(node)
+            test, _ = _leaf_test(node)
+            truth = test(node.left.value, node.right.value)
             verdict = "always true" if truth else "never true"
             self.add(
                 "DQ305",
@@ -848,9 +850,6 @@ def _operand_key(operand: Any) -> Optional[tuple]:
     return None
 
 
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>", "!=": "!="}
-
-
 def _normalize_comparison(
     node: Comparison,
 ) -> tuple[Optional[tuple], str, Any, bool]:
@@ -862,20 +861,6 @@ def _normalize_comparison(
         key = _operand_key(node.right)
         return key, _FLIPPED[node.op], node.left.value, True
     return None, node.op, None, False
-
-
-def _constant_truth(node: Comparison) -> bool:
-    """Evaluate a literal-vs-literal comparison with executor semantics."""
-    from repro.sql.executor import _COMPARATORS
-
-    a = node.left.value
-    b = node.right.value
-    if a is None or b is None:
-        return False
-    try:
-        return bool(_COMPARATORS[node.op](a, b))
-    except TypeError:
-        return False
 
 
 def analyze_statement(

@@ -21,7 +21,7 @@ positions whose value passes a comparison, with SQL NULL semantics.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import is_, is_not
+from operator import eq, is_, is_not
 from typing import (
     Any,
     Callable,
@@ -234,10 +234,21 @@ def matching(
     neither does a value the comparison rejects with ``TypeError``.
     One comprehension does the common case; if any comparison raises,
     the exact per-element loop reruns, so that the one value reads as
-    no match instead of aborting the scan.
+    no match instead of aborting the scan.  Equality with a non-None
+    operand over the whole array hops hit to hit with ``list.index``,
+    a C-level search with no Python step per element.
     """
+    hits: list[int] = []
     try:
         if pool is None:
+            if compare is eq and operand is not None:
+                index = -1
+                try:
+                    while True:
+                        index = array.index(operand, index + 1)
+                        hits.append(index)
+                except ValueError:
+                    return hits
             return [
                 index
                 for index, value in enumerate(array)
@@ -249,8 +260,7 @@ def matching(
             if array[index] is not None and compare(array[index], operand)
         ]
     except TypeError:
-        pass
-    hits: list[int] = []
+        hits = []
     for index in range(len(array)) if pool is None else pool:
         value = array[index]
         if value is None:

@@ -18,7 +18,7 @@ model), plain sources yield plain relations.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.relational.catalog import Database
 from repro.relational.relation import Relation, Row
@@ -52,6 +52,9 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+#: Mirror of each comparison when its operands swap sides.
+_FLIPPED = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=",
+            ">": "<", ">=": "<="}
 
 
 def _resolve_relation(
@@ -165,48 +168,54 @@ def _check_columns(statement: SelectStatement, relation: AnyRelation) -> None:
             )
 
 
-def _compile_predicate(
-    expr: Any, schema: Any, tagged: bool, tag_schema: Any = None
-) -> Callable[[Row | TaggedRow], bool]:
-    """Compile a WHERE tree into one per-row predicate closure.
+def _leaf_test(expr: Any) -> Optional[tuple[Callable[..., bool], tuple]]:
+    """One leaf predicate as ``(value test, operand nodes)``.
 
-    The AST is walked once here; the returned closures short-circuit
-    AND/OR without re-dispatching on node types per row.
+    The test takes the operands' values, in order, and is QSQL's one
+    comparison rule: a NULL operand is never true (nor is a NULL ``IN``
+    target), and a pair the comparison rejects with ``TypeError`` is
+    false.  The row closure, the columnar selection, constant folding
+    and the analyzer all apply it; None means ``expr`` is not a leaf.
     """
     if isinstance(expr, Comparison):
-        left = _compile_operand(expr.left, schema, tagged, tag_schema)
-        right = _compile_operand(expr.right, schema, tagged, tag_schema)
         compare = _COMPARATORS[expr.op]
 
-        def test(row: Row | TaggedRow) -> bool:
-            a = left(row)
-            b = right(row)
+        def test(a: Any, b: Any) -> bool:
             if a is None or b is None:
-                return False  # SQL-style: comparisons with NULL are not true
+                return False
             try:
                 return compare(a, b)
             except TypeError:
                 return False
 
-        return test
+        return test, (expr.left, expr.right)
     if isinstance(expr, InList):
-        get = _compile_operand(expr.operand, schema, tagged, tag_schema)
         options = expr.options
-        negated = expr.negated
-
-        def test(row: Row | TaggedRow) -> bool:
-            value = get(row)
-            if value is None:
-                return False
-            result = value in options
-            return (not result) if negated else result
-
-        return test
-    if isinstance(expr, IsNull):
-        get = _compile_operand(expr.operand, schema, tagged, tag_schema)
         if expr.negated:
-            return lambda row: get(row) is not None
-        return lambda row: get(row) is None
+            return (
+                lambda value: value is not None and value not in options,
+                (expr.operand,),
+            )
+        return (
+            lambda value: value is not None and value in options,
+            (expr.operand,),
+        )
+    if isinstance(expr, IsNull):
+        if expr.negated:
+            return (lambda value: value is not None), (expr.operand,)
+        return (lambda value: value is None), (expr.operand,)
+    return None
+
+
+def _compile_predicate(
+    expr: Any, schema: Any, tagged: bool, tag_schema: Any = None
+) -> Callable[[Row | TaggedRow], bool]:
+    """Compile a WHERE tree into one per-row predicate closure.
+
+    The AST is walked once here; each leaf applies :func:`_leaf_test`
+    to its operands' per-row getters, and the returned closures
+    short-circuit AND/OR without re-dispatching on node types per row.
+    """
     if isinstance(expr, BoolOp):
         left_test = _compile_predicate(expr.left, schema, tagged, tag_schema)
         right_test = _compile_predicate(expr.right, schema, tagged, tag_schema)
@@ -216,35 +225,19 @@ def _compile_predicate(
     if isinstance(expr, NotOp):
         inner = _compile_predicate(expr.operand, schema, tagged, tag_schema)
         return lambda row: not inner(row)
-    raise SQLError(f"unknown expression node {expr!r}")
-
-
-def _sort_key_function(items: tuple, schema: Any, tagged: bool, tag_schema: Any = None):
-    getters = []
-    for item in items:
-        if isinstance(item.key, (QualityRef, QualityScoreRef)):
-            getters.append(
-                _compile_operand(item.key, schema, tagged, tag_schema)
-            )
-        else:
-            position = schema.position(item.key.column)
-            if tagged:
-                getters.append(
-                    lambda row, p=position: row.cells[p].value
-                )
-            else:
-                getters.append(lambda row, p=position: row.at(p))
-
-    def key(row: Row | TaggedRow) -> tuple:
-        # None-safe ordering with per-item direction support handled
-        # by sorting repeatedly (stable sort), so here single value.
-        parts = []
-        for get in getters:
-            value = get(row)
-            parts.append((value is not None, value))
-        return tuple(parts)
-
-    return key
+    leaf = _leaf_test(expr)
+    if leaf is None:
+        raise SQLError(f"unknown expression node {expr!r}")
+    test, operands = leaf
+    getters = [
+        _compile_operand(operand, schema, tagged, tag_schema)
+        for operand in operands
+    ]
+    if len(getters) == 1:
+        get = getters[0]
+        return lambda row: test(get(row))
+    left, right = getters
+    return lambda row: test(left(row), right(row))
 
 
 def _operand_domain(

@@ -59,6 +59,7 @@ from repro.sql.nodes import (
     SelectItem,
 )
 from repro.relational.relation import Relation
+from repro.sql.executor import _FLIPPED, _leaf_test
 from repro.sql.plan import (
     Distinct,
     Filter,
@@ -80,20 +81,6 @@ from repro.tagging.relation import TaggedRelation
 #: QSQL comparison operator → tagging-store operator vocabulary.
 _TAG_OPS = {"=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=",
             ">": ">", ">=": ">="}
-#: Mirror of each comparison when its operands swap sides.
-_FLIPPED = {"=": "=", "<>": "<>", "!=": "!=", "<": ">", "<=": ">=",
-            ">": "<", ">=": "<="}
-
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
 
 @dataclass(frozen=True)
 class PlanContext:
@@ -139,36 +126,13 @@ def _transform(plan: PlanNode, visit: Callable[[PlanNode], PlanNode]) -> PlanNod
 # -- constant folding --------------------------------------------------------
 
 
-def _literal_compare(op: str, a: Any, b: Any) -> bool:
-    """The executor's comparison semantics, applied to two constants."""
-    if a is None or b is None:
-        return False
-    try:
-        return _COMPARATORS[op](a, b)
-    except TypeError:
-        return False
-
-
 def fold_expr(expr: Any) -> Any:
     """Fold constant subtrees of a WHERE expression to boolean literals."""
-    if isinstance(expr, Comparison):
-        if isinstance(expr.left, Literal) and isinstance(expr.right, Literal):
-            return Literal(
-                _literal_compare(expr.op, expr.left.value, expr.right.value)
-            )
-        return expr
-    if isinstance(expr, InList):
-        if isinstance(expr.operand, Literal):
-            value = expr.operand.value
-            if value is None:
-                return Literal(False)
-            result = value in expr.options
-            return Literal((not result) if expr.negated else result)
-        return expr
-    if isinstance(expr, IsNull):
-        if isinstance(expr.operand, Literal):
-            is_null = expr.operand.value is None
-            return Literal((not is_null) if expr.negated else is_null)
+    leaf = _leaf_test(expr)
+    if leaf is not None:
+        test, operands = leaf
+        if all(isinstance(operand, Literal) for operand in operands):
+            return Literal(test(*(operand.value for operand in operands)))
         return expr
     if isinstance(expr, BoolOp):
         left = fold_expr(expr.left)

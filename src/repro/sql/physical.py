@@ -7,22 +7,29 @@ list of rows.  Compilation resolves every column position, output
 schema, and predicate closure once; execution then runs over whole row
 batches with no per-row name resolution.
 
-Row semantics live in :mod:`repro.sql.executor`: filters and sort keys
-reuse :func:`repro.sql.executor._compile_predicate` /
-``_sort_key_function``, aggregation and QUALITY-materializing
-projections call the executor's own implementations over a trusted
-batch relation, and DISTINCT delegates to the algebra modules.  The
+Row semantics live in :mod:`repro.sql.executor`: filters reuse
+:func:`repro.sql.executor._compile_predicate`, whose leaves apply the
+one comparison rule of :func:`~repro.sql.executor._leaf_test` (NULL is
+never true, an incomparable pair is false) — the rule the columnar
+selection, constant folding and the analyzer apply too.  Aggregation
+and QUALITY-materializing projections call the executor's own
+implementations over a trusted batch relation, and DISTINCT delegates
+to the algebra modules.  ``Sort`` and ``TopK`` rank positions with one
+routine, :func:`_rank`, over one key array per ORDER BY item, on both
+batch shapes; a ``QUALITY(parameter)`` key over a tagged relation's
+own rows reads the relation's materialized scores
+(:meth:`~repro.quality.materialize.ScoreMaterializer.score_array`),
+resolved once per execution instead of one scorer call per row.  The
 operators only the optimizer emits are:
 
-- ``QualityFilter`` — asks the scanned relation for its lazily cached
-  :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` and
-  scans contiguous tag arrays instead of evaluating per-cell closures;
-- ``TopK`` — ``heapq.nsmallest`` over a composite sort key (equivalent
-  to the executor's repeated stable sorts followed by LIMIT); in TopK
-  and Sort, a ``QUALITY(parameter)`` key over a tagged relation's own
-  rows reads the relation's materialized scores
-  (:meth:`~repro.quality.materialize.ScoreMaterializer.score_index`),
-  resolved once per execution instead of one scorer call per row;
+- ``QualityFilter`` / ``ScoreFilter`` — the tagged leaf
+  (:func:`_compile_tagged_leaf`) on both batch shapes: it scans the
+  relation's lazily cached
+  :meth:`~repro.tagging.relation.TaggedRelation.columnar_store` tag
+  arrays and the materialized score arrays instead of evaluating
+  per-cell closures; a row plan gathers the surviving ``TaggedRow``
+  objects right above it;
+- ``TopK`` — ``Sort`` plus ``LIMIT`` in one bounded selection;
 - ``HashJoin`` — build-side hash index chosen by the optimizer;
 - ``Materialize`` + columnar ``Scan``/``Filter``/``Project``/``TopK``/
   ``Limit`` — the vectorized fragment the optimizer's
@@ -30,12 +37,11 @@ operators only the optimizer emits are:
   relation or a tagged one (whose fragment may start at the
   ``QualityFilter``/``ScoreFilter`` over the scan).  Inside the
   fragment, operators pass ``(column arrays, selection vector, tagged
-  source)`` batches: predicates run over whole arrays (same
-  NULL/TypeError semantics as the row closures), projection reorders
-  array references, TopK/Limit shrink the selection vector, and
-  ``Materialize`` builds ``Row`` objects late, only for the surviving
-  positions — or, in a tagged fragment, gathers the relation's own
-  ``TaggedRow`` objects.
+  source)`` batches: predicates run over whole arrays, projection
+  reorders array references, TopK/Limit shrink the selection vector,
+  and ``Materialize`` builds ``Row`` objects late, only for the
+  surviving positions — or, in a tagged fragment, gathers the
+  relation's own ``TaggedRow`` objects.
 
 Compiled plans close over *names and schemas only*, never over relation
 instances: the binding supplies relations at run time, which is what
@@ -59,10 +65,11 @@ at every fragment operator — arrays match the operator's schema and
 share one length, the selection vector is in-bounds, duplicate-free,
 and ascending wherever the operator preserves row order (TopK emits
 key order, so order checks stop above it) — plus array↔row alignment
-at the Materialize boundary and bounds/monotonicity of tag-store scan
-indices.  This is the dynamic cross-check of the plan verifier's
-static columnar claims (:mod:`repro.analysis.verifier`); violations
-raise :class:`ColumnarSanitizerError`.
+at the Materialize boundary.  The tagged leaf is a fragment operator
+on both batch shapes, so its tag-store and score-array hits are
+checked on row plans too.  This is the dynamic cross-check of the plan
+verifier's static columnar claims (:mod:`repro.analysis.verifier`);
+violations raise :class:`ColumnarSanitizerError`.
 """
 
 from __future__ import annotations
@@ -83,18 +90,16 @@ from repro.relational.schema import Column, RelationSchema
 from repro.sql.errors import SQLError
 from repro.sql.executor import (
     _COMPARATORS,
+    _FLIPPED,
+    _compile_operand,
     _compile_predicate,
     _computed_projection,
     _execute_aggregate,
     _item_output_domain,
-    _sort_key_function,
+    _leaf_test,
 )
 from repro.sql.nodes import (
     BoolOp,
-    ColumnRef,
-    Comparison,
-    InList,
-    IsNull,
     Literal,
     NotOp,
     QualityRef,
@@ -136,27 +141,12 @@ def sanitize_enabled() -> bool:
 
 
 class ColumnarSanitizerError(SQLError):
-    """A columnar batch (or tag-store scan) violated the selection-
-    vector / array invariants the executor relies on.
+    """A columnar batch violated the selection-vector / array
+    invariants the executor relies on.
 
     Only raised in sanitizer mode; in normal operation these
     invariants hold by construction and are never checked.
     """
-
-
-class _Reversed:
-    """Inverts comparison order, for DESC keys inside one composite key."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.value == other.value
 
 
 class CompiledNode:
@@ -307,10 +297,10 @@ def _compile(
 ) -> CompiledNode:
     if isinstance(plan, Scan):
         node = _compile_scan(plan, relations, ids)
-    elif isinstance(plan, QualityFilter):
-        node = _compile_quality_filter(plan, relations, ids, sanitize)
-    elif isinstance(plan, ScoreFilter):
-        node = _compile_score_filter(plan, relations, ids, sanitize)
+    elif isinstance(plan, (QualityFilter, ScoreFilter)):
+        # The tagged leaf of a columnar fragment, gathered back to rows.
+        leaf = _compile_columnar(plan, relations, ids, sanitize)
+        node = _compile_tagged_materialize(leaf, sanitize)
     elif isinstance(plan, Filter):
         node = _compile_filter(plan, relations, ids, sanitize)
     elif isinstance(plan, Project):
@@ -319,10 +309,8 @@ def _compile(
         node = _compile_hash_join(plan, relations, ids, sanitize)
     elif isinstance(plan, Aggregate):
         node = _compile_aggregate(plan, relations, ids, sanitize)
-    elif isinstance(plan, Sort):
-        node = _compile_sort(plan, relations, ids, sanitize)
-    elif isinstance(plan, TopK):
-        node = _compile_topk(plan, relations, ids, sanitize)
+    elif isinstance(plan, (Sort, TopK)):
+        node = _compile_order(plan, relations, ids, sanitize)
     elif isinstance(plan, Distinct):
         node = _compile_distinct(plan, relations, ids, sanitize)
     elif isinstance(plan, Limit):
@@ -394,183 +382,6 @@ def _compile_scan(
         tagged,
         relation.tag_schema if tagged else None,
     )
-
-
-def _compile_quality_filter(
-    plan: QualityFilter, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    scan = plan.child
-    if not (isinstance(scan, Scan) and scan.tagged):
-        raise SQLError(
-            "QualityFilter must sit directly above a tagged Scan"
-        )
-    child = _compile_scan(scan, relations)
-    name = scan.relation
-    constraints = list(plan.constraints)
-    # The columnar scan reads tag arrays + row batch directly, so the
-    # child Scan's closure never runs; credit its row count here (the
-    # scan's rows are exactly the relation's) so the annotated tree
-    # still shows the filter's input size — and thus its selectivity.
-    scan_id = None if ids is None else ids[id(scan)]
-    label = plan.label()
-
-    if scan.partitions is None:
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            indices = relation.columnar_store().scan(constraints)
-            rows = relation.row_batch()
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, len(rows), 0.0)
-            if sanitize:
-                _check_scan_indices(label, indices, len(rows))
-            return [rows[index] for index in indices]
-
-    else:
-        pruned_count = scan.partition_total - len(scan.partitions)
-        note = f"{len(scan.partitions)}/{scan.partition_total}"
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            shards = _surviving_partitions(scan, relation)
-            if shards is None:
-                indices = relation.columnar_store().scan(constraints)
-                rows = relation.row_batch()
-                if stats is not None and scan_id is not None:
-                    stats.record(scan_id, len(rows), 0.0)
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                return [rows[index] for index in indices]
-            out: list = []
-            fed = 0
-            rows_by_partition: list[int] = []
-            for shard in shards:
-                indices = shard.columnar_store().scan(constraints)
-                rows = shard.row_batch()
-                fed += len(rows)
-                rows_by_partition.append(len(rows))
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                out.extend(rows[index] for index in indices)
-            if _obs_metrics.enabled():
-                _record_partition_scan(fed, pruned_count)
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, fed, 0.0)
-                stats.annotate(
-                    scan_id,
-                    partitions=note,
-                    partition_rows=tuple(rows_by_partition),
-                )
-            return out
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-
-
-def _compile_score_filter(
-    plan: ScoreFilter, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    inner = plan.child
-    if isinstance(inner, Scan):
-        scan = inner
-        tag_constraints: Optional[list] = None
-    elif isinstance(inner, QualityFilter) and isinstance(inner.child, Scan):
-        scan = inner.child
-        tag_constraints = list(inner.constraints)
-    else:
-        raise SQLError(
-            "ScoreFilter must sit directly above a tagged Scan or a "
-            "QualityFilter over one"
-        )
-    if not scan.tagged:
-        raise SQLError("ScoreFilter requires a tagged Scan")
-    child = _compile_scan(scan, relations)
-    name = scan.relation
-    constraints = list(plan.constraints)
-    # Like QualityFilter, this operator reads storage (score arrays +
-    # row batch) directly; credit the swallowed Scan's row count so the
-    # annotated tree still shows the filter's input size.
-    scan_id = None if ids is None else ids[id(scan)]
-    label = plan.label()
-
-    def scan_segment(segment: Any, materializer: Any, bucket: Any) -> list:
-        """Surviving indices of one storage segment (shard or flat)."""
-        candidates = None
-        if tag_constraints is not None:
-            candidates = segment.columnar_store().scan(tag_constraints)
-        return materializer.filter_indices(
-            constraints, bucket=bucket, candidates=candidates
-        )
-
-    from repro.quality.materialize import materializer_for
-
-    if scan.partitions is None:
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            indices = scan_segment(relation, materializer_for(relation), None)
-            rows = relation.row_batch()
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, len(rows), 0.0)
-            if sanitize:
-                _check_scan_indices(label, indices, len(rows))
-            return [rows[index] for index in indices]
-
-    else:
-        pruned_count = scan.partition_total - len(scan.partitions)
-        note = f"{len(scan.partitions)}/{scan.partition_total}"
-
-        def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-            relation = binding[name]
-            materializer = materializer_for(relation)
-            shards = _surviving_partitions(scan, relation)
-            if shards is None:
-                indices = scan_segment(relation, materializer, None)
-                rows = relation.row_batch()
-                if stats is not None and scan_id is not None:
-                    stats.record(scan_id, len(rows), 0.0)
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                return [rows[index] for index in indices]
-            out: list = []
-            fed = 0
-            rows_by_partition: list[int] = []
-            for bucket, shard in zip(scan.partitions, shards):
-                indices = scan_segment(shard, materializer, bucket)
-                rows = shard.row_batch()
-                fed += len(rows)
-                rows_by_partition.append(len(rows))
-                if sanitize:
-                    _check_scan_indices(label, indices, len(rows))
-                out.extend(rows[index] for index in indices)
-            if _obs_metrics.enabled():
-                _record_partition_scan(fed, pruned_count)
-            if stats is not None and scan_id is not None:
-                stats.record(scan_id, fed, 0.0)
-                stats.annotate(
-                    scan_id,
-                    partitions=note,
-                    partition_rows=tuple(rows_by_partition),
-                )
-            return out
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-
-
-def _check_scan_indices(label: str, indices: Any, length: int) -> None:
-    """Sanitizer: tag-store scan hits are in-bounds and ascending."""
-    previous = -1
-    for index in indices:
-        if not isinstance(index, int) or not -1 < index < length:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan returned out-of-bounds "
-                f"index {index!r} (relation has {length} rows)"
-            )
-        if index <= previous:
-            raise ColumnarSanitizerError(
-                f"{label}: tag-store scan indices are not strictly "
-                f"ascending ({index} after {previous})"
-            )
-        previous = index
 
 
 def _compile_filter(
@@ -783,66 +594,35 @@ _UNSCORED = object()
 
 
 def _order_keys(
-    plan: Sort | TopK, child: CompiledNode, sanitize: bool
-) -> Callable[[Binding], list]:
-    """Per-item ``(key, descending)`` pairs, resolved per execution.
+    plan: Sort | TopK, key_of: Callable[[Any], Callable], sanitize: bool
+) -> Callable[[Any, Optional["_TaggedSource"], Optional[list]], list]:
+    """The ``(key array, descending)`` pairs :func:`_rank` orders by.
 
-    Keys on ``QUALITY(parameter)`` over a tagged relation's own rows
-    read that relation's materialized scores: the profile and the
-    ``{id(row): score}`` index resolve once per execution.  A row not
-    in the index (one written to a live relation after its block was
-    built) is scored directly.  Every other key compiles once, as the
-    executor's key function.
+    Returns ``keys(batch, source, sel)``.  A key on
+    ``QUALITY(parameter)`` over the scanned relation's own rows
+    (:func:`~repro.sql.plan.score_source`) reads the materialized
+    scores aligned with ``source`` (:func:`_source_scores`); every other
+    key's array is ``key_of(key node)(batch)``, compiled once.
     """
-    source = score_source(plan.child)
-    items = []  # (compiled key, or None for a score key; parameter; desc)
-    for item in plan.order_by:
-        if source is not None and isinstance(item.key, QualityScoreRef):
-            items.append((None, item.key.parameter, item.descending))
-        else:
-            key = _sort_key_function(
-                (item,), child.schema, child.tagged, child.tag_schema
-            )
-            items.append((key, None, item.descending))
-    if all(key is not None for key, _, _ in items):
-        static = [(key, descending) for key, _, descending in items]
-        return lambda binding: static
-    positions = tuple(
-        child.schema.position(column)
-        for column in child.tag_schema.tagged_columns
-    )
-    name = child.schema.name
+    scored = score_source(plan.child) is not None
+    specs = [  # (array builder, or None for a score key; parameter; desc)
+        (None, item.key.parameter, item.descending)
+        if scored and isinstance(item.key, QualityScoreRef)
+        else (key_of(item.key), None, item.descending)
+        for item in plan.order_by
+    ]
 
-    def score_key(relation: Any, parameter: str) -> Callable:
-        from repro.quality.materialize import (
-            materializer_for,
-            row_parameter_score,
-        )
-
-        profile = _score_profile(name, parameter)
-        lookup = materializer_for(relation).score_index(parameter).get
-
-        def key(row: Any) -> tuple:
-            score = lookup(id(row), _UNSCORED)
-            if score is _UNSCORED:
-                score = row_parameter_score(profile, parameter, row, positions)
-            elif sanitize:
-                fresh = row_parameter_score(
-                    profile, parameter, row, positions
-                )
-                _check_materialized_score(plan, score, fresh)
-            return ((score is not None, score),)
-
-        return key
-
-    def resolve(binding: Binding) -> list:
-        relation = binding[source]
+    def keys(batch: Any, source: Any, sel: Optional[list]) -> list:
         return [
-            (key if key is not None else score_key(relation, parameter), desc)
-            for key, parameter, desc in items
+            (
+                array_of(batch) if array_of is not None
+                else _source_scores(plan, source, parameter, sel, sanitize),
+                descending,
+            )
+            for array_of, parameter, descending in specs
         ]
 
-    return resolve
+    return keys
 
 
 def _score_profile(name: str, parameter: str) -> Any:
@@ -870,79 +650,106 @@ def _check_materialized_score(
         )
 
 
-def _compile_sort(
-    plan: Sort, relations: Binding, ids: OpIds, sanitize: bool = False
+def _compile_order(
+    plan: Sort | TopK, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> CompiledNode:
+    """Sort, or TopK: rank the batch's positions (:func:`_rank`) by one
+    key array per ORDER BY item and gather the rows."""
     child = _compile(plan.child, relations, ids, sanitize)
     if isinstance(plan.child, Aggregate):
         _check_aggregate_order(plan, child)
-    keys = _order_keys(plan, child, sanitize)
-    child_run = child.run
-
-    def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
-        rows = list(child_run(binding, stats))
-        if not rows:
-            return rows
-        # Repeated stable single-key sorts, least-significant first —
-        # the executor's exact ordering semantics.
-        for key, descending in reversed(keys(binding)):
-            rows.sort(key=key, reverse=descending)
-        return rows
-
-    return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
-
-
-def _compile_topk(
-    plan: TopK, relations: Binding, ids: OpIds, sanitize: bool = False
-) -> CompiledNode:
-    child = _compile(plan.child, relations, ids, sanitize)
-    if isinstance(plan.child, Aggregate):
-        _check_aggregate_order(plan, child)
-    if plan.count < 0:
+    count = plan.count if isinstance(plan, TopK) else None
+    if count is not None and count < 0:
         raise QueryError("limit must be non-negative")
-    keys = _order_keys(plan, child, sanitize)
-    count = plan.count
+
+    def key_of(key: Any) -> Callable[[list], list]:
+        get = _compile_operand(key, child.schema, child.tagged, child.tag_schema)
+        return lambda rows: list(map(get, rows))
+
+    keys = _order_keys(plan, key_of, sanitize)
+    name = score_source(plan.child)
     child_run = child.run
 
     def run(binding: Binding, stats: Optional[ExecutionStats]) -> list:
         rows = child_run(binding, stats)
-        if not rows or not count:
+        if not rows or count == 0:
+            # An empty input never reaches the sort keys (a score key
+            # would need a profile).
             return []
-        parts = keys(binding)
-        if len(rows) > count:
-            rows = _leading_candidates(rows, count, *parts[0])
-
-        def composite_key(row: Any) -> tuple:
-            return tuple(
-                _Reversed(key(row)) if descending else key(row)
-                for key, descending in parts
-            )
-
-        # nsmallest is stable and equivalent to sorted(...)[:k]; the
-        # composite key with per-part inversion equals the repeated
-        # stable sorts of the Sort operator.
-        return heapq.nsmallest(count, rows, key=composite_key)
+        source = None if name is None else _TaggedSource(
+            binding[name], [(None, rows)]
+        )
+        ranked = _rank(range(len(rows)), count, keys(rows, source, None))
+        return [rows[i] for i in ranked]
 
     return CompiledNode(run, child.schema, child.tagged, child.tag_schema)
 
 
-def _leading_candidates(
-    rows: list, count: int, key: Callable, descending: bool
+def _rank(
+    positions: Any, count: Optional[int], keys: list, pairs: bool = False
 ) -> list:
-    """The rows that can reach the top ``count`` on the leading key alone.
+    """The first ``count`` of ``positions`` ordered by ``keys`` (all of
+    them, fully sorted, when ``count`` is None).
 
-    Every row of the top ``count`` has a leading key no worse than the
-    ``count``-th best (ties included), so only those rows need the full
-    composite key.  They keep their input order, so the stable
-    selection over them returns what it would over all rows.  The
-    leading keys are plain tuples (or raw values), compared at C speed.
+    ``keys`` are ``(array, descending)`` pairs, most significant first,
+    indexed by position; ties keep ``positions`` order.  Values compare
+    raw, at C speed; a NULL (or incomparable) value raises ``TypeError``
+    there, and the ranking reruns over None-safe ``(value is not None,
+    value)`` pairs (``pairs=True``), so NULL sorts first ascending.
+    One key under a count is a stable bounded heap (all-DESC is
+    ``nlargest``, which is ``sorted(..., reverse=True)[:n]`` and keeps
+    ties in order).  Otherwise the positions that can reach the top on
+    the leading key alone (:func:`_leading_candidates`) go through
+    repeated stable single-key sorts, least-significant first, which
+    order as one composite key with per-key direction would.
     """
-    leading = list(map(key, rows))
+    ranks = [
+        (_pair_key(array) if pairs else array.__getitem__, descending)
+        for array, descending in keys
+    ]
+    try:
+        if count is not None and len(ranks) == 1:
+            key, descending = ranks[0]
+            select = heapq.nlargest if descending else heapq.nsmallest
+            return select(count, positions, key=key)
+        ranked = list(positions)
+        if count is not None and len(ranked) > count:
+            ranked = _leading_candidates(ranked, count, *ranks[0])
+        for key, descending in reversed(ranks):
+            ranked.sort(key=key, reverse=descending)
+        return ranked[:count]
+    except TypeError:
+        if pairs:
+            raise
+        return _rank(positions, count, keys, pairs=True)
+
+
+def _pair_key(array: list) -> Callable[[int], tuple]:
+    """A position's None-safe sort key."""
+
+    def key(i: int) -> tuple:
+        value = array[i]
+        return (value is not None, value)
+
+    return key
+
+
+def _leading_candidates(
+    positions: list, count: int, key: Callable, descending: bool
+) -> list:
+    """The positions that can reach the top ``count`` on the leading key.
+
+    Every position of the top ``count`` has a leading key no worse than
+    the ``count``-th best (ties included), so only those need the full
+    ranking.  They keep their input order, so the stable ranking over
+    them returns what it would over all positions.
+    """
+    leading = list(map(key, positions))
     if descending:
         cut = heapq.nlargest(count, leading)[-1]
-        return [row for row, lead in zip(rows, leading) if not lead < cut]
+        return [i for i, lead in zip(positions, leading) if not lead < cut]
     cut = heapq.nsmallest(count, leading)[-1]
-    return [row for row, lead in zip(rows, leading) if not cut < lead]
+    return [i for i, lead in zip(positions, leading) if not cut < lead]
 
 
 def _compile_distinct(
@@ -1337,6 +1144,8 @@ def _compile_tagged_leaf(
     per-shard rules: a layout that no longer matches reads the flat
     relation, one surviving shard is served zero-copy, several are
     concatenated (hit positions offset by the shards before them).
+    A row plan's QualityFilter / ScoreFilter compiles as this leaf too,
+    with :func:`_compile_tagged_materialize` gathering its rows.
     """
     score_constraints: Optional[list] = None
     tag_constraints: Optional[list] = None
@@ -1349,8 +1158,7 @@ def _compile_tagged_leaf(
         node = node.child
     if not isinstance(node, Scan):
         raise SQLError(
-            f"{type(plan).__name__} must sit directly above a tagged "
-            f"Scan in a columnar fragment"
+            f"{type(plan).__name__} must sit directly above a tagged Scan"
         )
     scan = node
     name = scan.relation
@@ -1508,74 +1316,14 @@ def _compile_columnar_predicate(
     """Compile a WHERE tree into a whole-array selection function.
 
     Returns ``fn(columns, sel) -> hits`` where ``hits`` is the new
-    selection vector (ascending row positions).  Semantics mirror
-    :func:`repro.sql.executor._compile_predicate` exactly: comparisons
-    with NULL are never true, incomparable types (``TypeError``) read
-    as false, ``IN`` never sees NULL options specially, and NOT/OR
-    complement/merge those per-row outcomes — so a row survives the
-    columnar filter iff it survives the row closure.
+    selection vector (ascending row positions).  Each leaf applies the
+    row closure's value test (:func:`repro.sql.executor._leaf_test`) to
+    array entries — a column compared with a constant through
+    :func:`repro.relational.arrays.matching`, the same rule as one
+    comprehension — and NOT/OR complement/merge those per-row outcomes,
+    so a row survives the columnar filter iff it survives the row
+    closure.
     """
-    if isinstance(expr, Comparison):
-        return _columnar_comparison(expr, schema)
-    if isinstance(expr, InList):
-        options = expr.options
-        negated = expr.negated
-        if isinstance(expr.operand, Literal):
-            value = expr.operand.value
-            if value is None:
-                return lambda columns, sel: []
-            result = value in options
-            if negated:
-                result = not result
-            if result:
-                return lambda columns, sel: list(
-                    _base_positions(columns, sel)
-                )
-            return lambda columns, sel: []
-        position = schema.position(expr.operand.column)
-        if negated:
-
-            def run_not_in(columns: list, sel: Optional[list]) -> list:
-                array = columns[position]
-                return [
-                    i
-                    for i in _base_positions(columns, sel)
-                    if array[i] is not None and array[i] not in options
-                ]
-
-            return run_not_in
-
-        def run_in(columns: list, sel: Optional[list]) -> list:
-            array = columns[position]
-            return [
-                i
-                for i in _base_positions(columns, sel)
-                if array[i] is not None and array[i] in options
-            ]
-
-        return run_in
-    if isinstance(expr, IsNull):
-        negated = expr.negated
-        if isinstance(expr.operand, Literal):
-            is_null = expr.operand.value is None
-            result = (not is_null) if negated else is_null
-            if result:
-                return lambda columns, sel: list(
-                    _base_positions(columns, sel)
-                )
-            return lambda columns, sel: []
-        position = schema.position(expr.operand.column)
-        if negated:
-            return lambda columns, sel: [
-                i
-                for i in _base_positions(columns, sel)
-                if columns[position][i] is not None
-            ]
-        return lambda columns, sel: [
-            i
-            for i in _base_positions(columns, sel)
-            if columns[position][i] is None
-        ]
     if isinstance(expr, BoolOp):
         left_run = _compile_columnar_predicate(expr.left, schema)
         right_run = _compile_columnar_predicate(expr.right, schema)
@@ -1606,98 +1354,45 @@ def _compile_columnar_predicate(
             ]
 
         return run_not
-    raise SQLError(f"unknown expression node {expr!r}")
-
-
-def _columnar_comparison(
-    expr: Comparison, schema: RelationSchema
-) -> Callable[[list, Optional[list]], list]:
-    compare = _COMPARATORS[expr.op]
-    left, right = expr.left, expr.right
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-        left_position = schema.position(left.column)
-        right_position = schema.position(right.column)
-
-        def run_col_col(columns: list, sel: Optional[list]) -> list:
-            left_array = columns[left_position]
-            right_array = columns[right_position]
-            hits: list = []
-            emit = hits.append
-            for i in _base_positions(columns, sel):
-                a = left_array[i]
-                b = right_array[i]
-                if a is None or b is None:
-                    continue
-                try:
-                    if compare(a, b):
-                        emit(i)
-                except TypeError:
-                    continue
-            return hits
-
-        return run_col_col
-    if isinstance(left, Literal) and isinstance(right, Literal):
+    leaf = _leaf_test(expr)
+    if leaf is None:
+        raise SQLError(f"unknown expression node {expr!r}")
+    test, operands = leaf
+    constants = [isinstance(operand, Literal) for operand in operands]
+    if all(constants):
         # fold_constants normally removes these; evaluate once anyway.
-        a, b = left.value, right.value
-        if a is None or b is None:
-            result = False
-        else:
-            try:
-                result = compare(a, b)
-            except TypeError:
-                result = False
-        if result:
+        if test(*(operand.value for operand in operands)):
             return lambda columns, sel: list(_base_positions(columns, sel))
         return lambda columns, sel: []
-    if isinstance(left, Literal):
-        position = schema.position(right.column)
-        constant = left.value
-        if constant is None:
-            return lambda columns, sel: []
+    if any(constants):
+        # A column against a constant, turned to read ``column <op> c``.
+        column, constant = operands if constants[1] else operands[::-1]
+        op = expr.op if constants[1] else _FLIPPED[expr.op]
+        if constant.value is None:
+            return lambda columns, sel: []  # test(v, NULL) is never true
+        position = schema.position(column.column)
+        compare, value = _COMPARATORS[op], constant.value
+        return lambda columns, sel: _codec.matching(
+            columns[position], compare, value, sel
+        )
+    positions = [schema.position(operand.column) for operand in operands]
+    if len(positions) == 1:
+        (p,) = positions
 
-        def run_const_col(columns: list, sel: Optional[list]) -> list:
-            array = columns[position]
-            hits: list = []
-            emit = hits.append
-            for i in _base_positions(columns, sel):
-                value = array[i]
-                if value is None:
-                    continue
-                try:
-                    if compare(constant, value):
-                        emit(i)
-                except TypeError:
-                    continue
-            return hits
+        def run_one(columns: list, sel: Optional[list]) -> list:
+            array = columns[p]
+            return [i for i in _base_positions(columns, sel) if test(array[i])]
 
-        return run_const_col
-    position = schema.position(left.column)
-    constant = right.value
-    if constant is None:
-        return lambda columns, sel: []
-    equality = expr.op == "="
+        return run_one
+    left_p, right_p = positions
 
-    def run_col_const(columns: list, sel: Optional[list]) -> list:
-        array = columns[position]
-        hits: list = []
-        emit = hits.append
-        if sel is None and equality:
-            # Full-column equality hops hit-to-hit with list.index — a
-            # C-level search, no Python per-element loop (same move as
-            # ColumnarTagStore.scan; `==` never raises TypeError, and a
-            # None constant was rejected above, so Nones cannot match).
-            find = array.index
-            index = -1
-            try:
-                while True:
-                    index = find(constant, index + 1)
-                    emit(index)
-            except ValueError:
-                pass
-            return hits
-        return _codec.matching(array, compare, constant, sel)
+    def run_two(columns: list, sel: Optional[list]) -> list:
+        left, right = columns[left_p], columns[right_p]
+        return [
+            i for i in _base_positions(columns, sel) if test(left[i], right[i])
+        ]
 
-    return run_col_const
+    return run_two
 
 
 def _compile_columnar_project(
@@ -1740,25 +1435,20 @@ def _compile_columnar_topk(
     plan: TopK, relations: Binding, ids: OpIds, sanitize: bool = False
 ) -> _ColumnarNode:
     """Bounded selection over key arrays: the selection vector shrinks
-    to the top ``count`` positions, in key order.
+    to the top ``count`` positions, in key order (:func:`_rank`).
 
     A key is a column's value array or, for ``QUALITY(parameter)`` over
-    a tagged fragment that still emits its source rows
-    (:func:`~repro.sql.plan.score_source`), the source's aligned
-    materialized score array (:func:`_source_scores`).  Keys compare as
-    the row TopK's do: ``(value is not None, value)`` per key.
+    a tagged fragment that still emits its source rows, the source's
+    aligned materialized score array (:func:`_order_keys`).
     """
     child = _compile_columnar(plan.child, relations, ids, sanitize)
     if plan.count < 0:
         raise QueryError("limit must be non-negative")
-    scored = score_source(plan.child) is not None
-    specs = []  # (column position, or None for a score key; parameter; desc)
-    for item in plan.order_by:
-        if scored and isinstance(item.key, QualityScoreRef):
-            specs.append((None, item.key.parameter, item.descending))
-        else:
-            position = child.schema.position(item.key.column)
-            specs.append((position, None, item.descending))
+    keys = _order_keys(
+        plan,
+        lambda key: operator.itemgetter(child.schema.position(key.column)),
+        sanitize,
+    )
     count = plan.count
     child_run = child.run
 
@@ -1769,65 +1459,9 @@ def _compile_columnar_topk(
             # As on the row path, an empty input never reaches the sort
             # keys (a score key would need a profile).
             return columns, [], source
-        keys = [
-            (
-                columns[p] if p is not None
-                else _source_scores(plan, source, parameter, sel, sanitize),
-                descending,
-            )
-            for p, parameter, descending in specs
-        ]
-        try:
-            top = _top_positions(base, count, keys, _value_key)
-        except TypeError:
-            # A NULL (or incomparable) key value: rank by the row
-            # TopK's None-safe (not-None, value) pairs instead.
-            top = _top_positions(base, count, keys, _pair_key)
-        return columns, top, source
+        return columns, _rank(base, count, keys(columns, source, sel)), source
 
     return child.derived(run)
-
-
-def _value_key(array: list) -> Callable[[int], Any]:
-    """A position's sort key: its raw value, compared at C speed.  It
-    orders like :func:`_pair_key` whenever no value is None."""
-    return array.__getitem__
-
-
-def _pair_key(array: list) -> Callable[[int], tuple]:
-    """A position's None-safe sort key, as the row TopK builds it."""
-
-    def key(i: int) -> tuple:
-        value = array[i]
-        return (value is not None, value)
-
-    return key
-
-
-def _top_positions(
-    base: Any, count: int, keys: list, make_key: Callable
-) -> list:
-    """The first ``count`` positions of ``base`` ordered by ``keys``.
-
-    ``keys`` are ``(array, descending)`` pairs, most significant first.
-    One key: a stable bounded heap (all-DESC is ``nlargest``, which is
-    ``sorted(..., reverse=True)[:n]`` and keeps ties in row order).
-    Several: the rows that can reach the top on the leading key alone
-    (:func:`_leading_candidates`), then repeated stable single-key
-    sorts, least-significant first, which order exactly as the row
-    TopK's composite key does.
-    """
-    if len(keys) == 1:
-        array, descending = keys[0]
-        select = heapq.nlargest if descending else heapq.nsmallest
-        return select(count, base, key=make_key(array))
-    ranked = list(base)
-    if len(ranked) > count:
-        lead, descending = keys[0]
-        ranked = _leading_candidates(ranked, count, make_key(lead), descending)
-    for array, descending in reversed(keys):
-        ranked.sort(key=make_key(array), reverse=descending)
-    return ranked[:count]
 
 
 def _source_scores(

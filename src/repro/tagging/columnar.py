@@ -287,29 +287,7 @@ class ColumnarTagStore:
 
         The columnar representation's fast path: one pass over one array.
         """
-        if op not in OPERATORS:
-            raise TagSchemaError(f"unknown operator {op!r}")
-        compare = OPERATORS[op]
-        array = self._arrays.get((column, indicator))
-        if array is None:
-            raise UnknownIndicatorError(
-                f"indicator {indicator!r} is not allowed on column {column!r}"
-            )
-        self.check_aligned()
-        hits = []
-        for index, value in enumerate(array):
-            if value is None:
-                if missing_ok:
-                    hits.append(index)
-                continue
-            try:
-                if compare(value, operand):
-                    hits.append(index)
-            except TypeError:
-                continue
-        if _obs_metrics.enabled():
-            _record_scan(len(array), len(hits))
-        return hits
+        return self.scan([(column, indicator, op, operand, missing_ok)])
 
     def scan(
         self,
@@ -326,7 +304,8 @@ class ColumnarTagStore:
         probes the surviving indices, so selective leading constraints
         keep the scan cheap.  Missing tags (None) never match unless
         the constraint says ``missing_ok=True`` (matching
-        :class:`~repro.tagging.query.IndicatorConstraint` semantics).
+        :class:`~repro.tagging.query.IndicatorConstraint` semantics);
+        a tag the comparison rejects with ``TypeError`` never matches.
         """
         self.check_aligned()
         hits: Optional[list[int]] = None
@@ -342,47 +321,18 @@ class ColumnarTagStore:
                     f"indicator {indicator!r} is not allowed on column "
                     f"{column!r}"
                 )
-            survivors: list[int] = []
-            emit = survivors.append
-            if hits is None:
-                if op == "==" and operand is not None and not missing_ok:
-                    # Equality scans hop hit-to-hit with list.index, a
-                    # C-level search — no Python per-element loop.  (A
-                    # None operand must fall through: missing tags never
-                    # match, but index(None) would find them.  Likewise
-                    # missing_ok: the hop cannot also emit the Nones.)
-                    find = array.index
-                    index = -1
-                    try:
-                        while True:
-                            index = find(operand, index + 1)
-                            emit(index)
-                    except ValueError:
-                        pass
-                else:
-                    for index, value in enumerate(array):
-                        if value is None:
-                            if missing_ok:
-                                emit(index)
-                            continue
-                        try:
-                            if compare(value, operand):
-                                emit(index)
-                        except TypeError:
-                            continue
+            if not missing_ok:
+                hits = _codec.matching(array, compare, operand, hits)
             else:
-                for index in hits:
+                survivors: list[int] = []
+                for index in range(len(array)) if hits is None else hits:
                     value = array[index]
-                    if value is None:
-                        if missing_ok:
-                            emit(index)
-                        continue
                     try:
-                        if compare(value, operand):
-                            emit(index)
+                        if value is None or compare(value, operand):
+                            survivors.append(index)
                     except TypeError:
                         continue
-            hits = survivors
+                hits = survivors
             if not hits:
                 break
         selected = (

@@ -102,7 +102,9 @@ def operands(draw, quality):
     if kind == "qual":
         return draw(st.sampled_from(QUALITY_REFS))
     return draw(
-        st.sampled_from(["0", "1", "3", "5", "'x'", "'s1'", "NULL", "TRUE"])
+        st.sampled_from(
+            ["0", "1", "2.5", "3", "5", "'x'", "'s1'", "NULL", "TRUE"]
+        )
     )
 
 
@@ -128,7 +130,7 @@ def predicates(draw, quality, depth=2):
     if kind == "in":
         options = draw(
             st.lists(
-                st.sampled_from(["0", "1", "2", "'x'", "'s1'"]),
+                st.sampled_from(["0", "1", "2", "'x'", "'s1'", "NULL"]),
                 min_size=1,
                 max_size=3,
             )

@@ -13,7 +13,6 @@ from repro.sql.executor import execute
 from repro.sql.physical import (
     ColumnarSanitizerError,
     _check_columnar_batch,
-    _check_scan_indices,
     _TaggedSource,
     _fragment_ordered,
     sanitize_enabled,
@@ -22,24 +21,6 @@ from repro.sql.plan import Limit, Scan, TopK
 from repro.sql.plancache import clear_plan_cache
 
 T_SCHEMA = schema("t", [("a", "INT"), ("b", "STR")], key=["a"])
-
-
-class TestScanIndexCheck:
-    def test_ascending_in_bounds_passes(self):
-        _check_scan_indices("QualityFilter", [0, 2, 5], 6)
-        _check_scan_indices("QualityFilter", [], 0)
-
-    def test_out_of_bounds_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="out-of-bounds"):
-            _check_scan_indices("QualityFilter", [0, 6], 6)
-        with pytest.raises(ColumnarSanitizerError, match="out-of-bounds"):
-            _check_scan_indices("QualityFilter", [-1], 6)
-
-    def test_non_ascending_raises(self):
-        with pytest.raises(ColumnarSanitizerError, match="ascending"):
-            _check_scan_indices("QualityFilter", [3, 1], 6)
-        with pytest.raises(ColumnarSanitizerError, match="ascending"):
-            _check_scan_indices("QualityFilter", [2, 2], 6)
 
 
 class TestBatchCheck:
@@ -176,6 +157,41 @@ class TestEndToEnd:
         finally:
             clear_profiles()
         assert [row["a"].value for row in top.rows] == [29, 28, 26]
+
+    @pytest.mark.parametrize(
+        "indices, problem",
+        [([0, 99], "out-of-bounds"), ([3, 1], "ascending")],
+    )
+    def test_row_quality_filter_checks_scan_indices(
+        self, monkeypatch, indices, problem
+    ):
+        # A columnar=False QualityFilter reads through the tagged leaf,
+        # so the batch check still vets a tag-store scan's hits.
+        from repro.tagging.cell import QualityCell
+        from repro.tagging.columnar import ColumnarTagStore
+        from repro.tagging.indicators import (
+            IndicatorDefinition,
+            IndicatorValue,
+            TagSchema,
+        )
+        from repro.tagging.relation import TaggedRelation
+
+        tags = TagSchema(
+            [IndicatorDefinition("source", "STR")], allowed={"b": ["source"]}
+        )
+        relation = TaggedRelation(T_SCHEMA, tags)
+        for i in range(6):
+            source = IndicatorValue("source", "s1")
+            relation.insert({"a": i, "b": QualityCell(f"s{i}", [source])})
+        monkeypatch.setattr(
+            ColumnarTagStore, "scan", lambda self, constraints: list(indices)
+        )
+        with pytest.raises(ColumnarSanitizerError, match=problem):
+            execute(
+                "SELECT a FROM t WHERE QUALITY(b.source) = 's1'",
+                relation,
+                columnar=False,
+            )
 
     def test_cached_sanitized_plan_reruns_clean(self):
         relation = self.make_relation()
